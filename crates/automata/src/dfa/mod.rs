@@ -17,12 +17,9 @@
 //!   witnesses, trimming, bounded-marker analysis,
 //! * [`to_regex`] — state elimination back to a [`Regex`] for display,
 //! * [`dense`] — class-compressed, premultiplied scan tables for the
-//!   extraction hot path,
-//! * [`classify`] — chunked (optionally SIMD) symbol-class classification
-//!   feeding the dense scan.
+//!   extraction hot path.
 
 pub mod analysis;
-pub mod classify;
 pub mod dense;
 pub mod determinize;
 pub mod dot;

@@ -37,44 +37,6 @@ impl Dfa {
         self.product(other, |a, b| a != b)
     }
 
-    /// Count the states of the reachable product `self × other` without
-    /// materializing it, giving up as soon as the count exceeds `cap`.
-    ///
-    /// This is the extraction engine's product-mode feasibility probe:
-    /// one-pass extraction simulates the `E1 × E2` product, and the probe
-    /// decides — at `Extractor::compile` time, against a size cutoff —
-    /// whether that simulation stays small enough to beat the fused
-    /// two-automaton scan. Unlike subset construction the pair product
-    /// cannot explode past `|Q1|·|Q2|`, so the walk always terminates;
-    /// `cap` merely lets callers stop early.
-    pub fn product_reachable_size(&self, other: &Dfa, cap: usize) -> Option<usize> {
-        assert!(
-            self.alphabet().compatible(other.alphabet()),
-            "product over incompatible alphabets"
-        );
-        let mut seen: HashMap<(StateId, StateId), ()> = HashMap::new();
-        let mut frontier: Vec<(StateId, StateId)> = Vec::new();
-        let start = (self.start(), other.start());
-        seen.insert(start, ());
-        frontier.push(start);
-        if seen.len() > cap {
-            return None;
-        }
-        while let Some((q1, q2)) = frontier.pop() {
-            for sym in self.alphabet().symbols() {
-                let t = (self.next(q1, sym), other.next(q2, sym));
-                if let std::collections::hash_map::Entry::Vacant(e) = seen.entry(t) {
-                    e.insert(());
-                    frontier.push(t);
-                    if seen.len() > cap {
-                        return None;
-                    }
-                }
-            }
-        }
-        Some(seen.len())
-    }
-
     /// Reachable product automaton with acceptance combined by `accept`.
     pub fn product(&self, other: &Dfa, accept: impl Fn(bool, bool) -> bool) -> Dfa {
         assert!(
@@ -197,28 +159,6 @@ mod tests {
         let x = d("(p q)+");
         let diff = x.difference(&x).minimized();
         assert!(diff.same_canonical(&d("[]")));
-    }
-
-    #[test]
-    fn reachable_size_matches_materialized_product() {
-        for (l, r) in [
-            ("(p q)* p?", "p .* | q"),
-            (".*", "q*"),
-            ("[^p]*", ".*"),
-            ("p p p", "q q"),
-        ] {
-            let x = d(l);
-            let y = d(r);
-            let want = x.product(&y, |a, b| a && b).num_states();
-            assert_eq!(
-                x.product_reachable_size(&y, usize::MAX),
-                Some(want),
-                "{l} × {r}"
-            );
-            // At exactly the size the probe succeeds; one below it bails.
-            assert_eq!(x.product_reachable_size(&y, want), Some(want));
-            assert_eq!(x.product_reachable_size(&y, want - 1), None);
-        }
     }
 
     #[test]

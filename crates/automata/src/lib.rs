@@ -76,7 +76,6 @@ pub mod prelude {
 }
 
 pub use alphabet::{Alphabet, SymbolSet};
-pub use dfa::classify::DenseClassifier;
 pub use dfa::Dfa;
 pub use intern::LangId;
 pub use lang::Lang;

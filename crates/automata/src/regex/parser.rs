@@ -25,10 +25,22 @@
 //! Identifiers may contain letters, digits, `_`, `/`, `:` and `#` — enough
 //! for HTML close tags like `/TD`. They must be separated by whitespace or
 //! operators.
+//!
+//! Nesting is bounded by [`MAX_NESTING`]: each `( … )` group, each `!`
+//! and each `-` deepens either the parser's recursion or the tree it
+//! builds, and everything downstream (automaton construction, printing,
+//! dropping) recurses over that tree. Deeper input is a [`ParseError`],
+//! never a stack overflow.
 
 use super::Regex;
 use crate::alphabet::Alphabet;
 use std::fmt;
+
+/// Deepest nesting [`Regex::parse`] accepts, counting every enclosing
+/// `( … )` group, `!` complement and `-` of a difference chain. Trained
+/// wrapper artifacts stay far below it; hostile input beyond it is
+/// rejected before it can overflow a 2 MiB worker stack.
+pub const MAX_NESTING: usize = 256;
 
 /// Error produced by [`Regex::parse`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,6 +72,7 @@ impl Regex {
             alphabet,
             toks: lex(input)?,
             pos: 0,
+            depth: 0,
         };
         let re = p.parse_alt()?;
         if p.pos < p.toks.len() {
@@ -150,6 +163,8 @@ struct Parser<'a> {
     alphabet: &'a Alphabet,
     toks: Vec<Spanned>,
     pos: usize,
+    /// Current nesting, bounded by [`MAX_NESTING`].
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -178,6 +193,18 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Go one nesting level deeper, failing past [`MAX_NESTING`]. The
+    /// caller restores the level on success; an error ends the parse.
+    fn enter(&mut self) -> Result<(), ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err_here(&format!(
+                "expression nested deeper than {MAX_NESTING} levels"
+            )));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn parse_alt(&mut self) -> Result<Regex, ParseError> {
         let mut parts = vec![self.parse_diff_and()?];
         while self.peek() == Some(&Tok::Pipe) {
@@ -188,10 +215,14 @@ impl<'a> Parser<'a> {
     }
 
     fn parse_diff_and(&mut self) -> Result<Regex, ParseError> {
+        let outer = self.depth;
         let mut acc = self.parse_concat()?;
         loop {
             match self.peek() {
                 Some(Tok::Minus) => {
+                    // `a - b - c` is `(a - b) - c`: each `-` nests the
+                    // tree one level deeper, like a group would.
+                    self.enter()?;
                     self.bump();
                     let rhs = self.parse_concat()?;
                     acc = acc.diff(rhs);
@@ -204,6 +235,7 @@ impl<'a> Parser<'a> {
                 _ => break,
             }
         }
+        self.depth = outer;
         Ok(acc)
     }
 
@@ -259,11 +291,15 @@ impl<'a> Parser<'a> {
             Some(Tok::Dot) => Ok(Regex::any(self.alphabet)),
             Some(Tok::Tilde) => Ok(Regex::Epsilon),
             Some(Tok::Bang) => {
+                self.enter()?;
                 let inner = self.parse_postfix()?;
+                self.depth -= 1;
                 Ok(inner.not())
             }
             Some(Tok::LParen) => {
+                self.enter()?;
                 let inner = self.parse_alt()?;
+                self.depth -= 1;
                 match self.bump() {
                     Some(Tok::RParen) => Ok(inner),
                     _ => Err(self.err_here("expected ')'")),
@@ -430,5 +466,50 @@ mod tests {
                 Regex::sym(&a, a.sym("/FORM")),
             ])
         );
+    }
+
+    /// Run `f` on a thread with a daemon worker's 2 MiB stack, so a
+    /// recursion that a larger main-thread stack would survive aborts.
+    fn on_worker_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(f)
+            .unwrap()
+            .join()
+            .unwrap()
+    }
+
+    fn nested_parens(n: usize) -> String {
+        format!("{}p{}", "(".repeat(n), ")".repeat(n))
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let errors = on_worker_stack(|| {
+            let n = 100_000;
+            let bangs = format!("{}p", "!".repeat(n));
+            let diffs = vec!["p"; n].join(" - ");
+            [nested_parens(n), bangs, diffs].map(|text| Regex::parse(&ab(), &text))
+        });
+        for e in errors {
+            let e = e.unwrap_err();
+            assert!(e.message.contains("nested deeper"), "{e}");
+        }
+    }
+
+    #[test]
+    fn nesting_up_to_the_limit_parses() {
+        let a = ab();
+        let n = MAX_NESTING;
+        assert!(Regex::parse(&a, &nested_parens(n)).is_ok());
+        assert!(Regex::parse(&a, &nested_parens(n + 1)).is_err());
+        assert!(Regex::parse(&a, &format!("{}p", "!".repeat(n))).is_ok());
+        assert!(Regex::parse(&a, &format!("{}p", "!".repeat(n + 1))).is_err());
+        // n + 1 operands, n `-`s.
+        assert!(Regex::parse(&a, &vec!["p"; n + 1].join(" - ")).is_ok());
+        assert!(Regex::parse(&a, &vec!["p"; n + 2].join(" - ")).is_err());
+        // Siblings do not add up: only enclosing levels count.
+        let siblings = vec![nested_parens(n); 3].join(" | ");
+        assert!(Regex::parse(&a, &format!("{siblings} - p")).is_ok());
     }
 }

@@ -13,10 +13,7 @@ use std::fmt;
 /// them. Two symbols from different alphabets must never be mixed; the
 /// higher-level types ([`Lang`](crate::lang::Lang),
 /// [`Dfa`](crate::dfa::Dfa)) enforce this by checking alphabet identity.
-/// `repr(transparent)`: a `&[Symbol]` is layout-identical to `&[u32]`,
-/// which the vectorized classifier relies on for direct lane loads.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-#[repr(transparent)]
 pub struct Symbol(pub(crate) u32);
 
 impl Symbol {

@@ -3,10 +3,10 @@
 //!
 //! The Section 4 operational reading ("try splits until one succeeds") is
 //! quadratic; both linear engines are O(|doc|). We sweep document length
-//! 10²…10⁶ tokens comparing the **dense** engine (class-compressed
-//! premultiplied tables, u64 `prefix_ok` bitset, reusable scratch) against
-//! the previous-generation **two-pass** engine (per-call `Vec<bool>`,
-//! full-|Σ| rows), plus:
+//! 10²…10⁷ tokens comparing the **dense** engine (the one-pass sweep over
+//! class-compressed premultiplied tables, reusable scratch) against the
+//! **two-pass** reference engine (per-call `Vec<bool>`, full-|Σ| rows),
+//! plus:
 //!
 //! * a class-collapse sweep (|Σ| ∈ {16, 64} with few distinct transition
 //!   columns — the wrapper-alphabet shape where compression pays),
@@ -16,10 +16,10 @@
 //!   visible.
 //!
 //! Experiment E13 rides in the same binary ([`bench_scan_modes`]): the
-//! fused scan under both classification kernels versus the one-pass
-//! product sweep versus the two-pass baseline, on a 10⁵…10⁷-token sweep
-//! with absolute tokens/sec, bytes/sec, and per-token cycle-budget
-//! columns.
+//! one-pass sweep versus the two-pass engine on three workloads (one
+//! match, dense matches, and a large `E1 × E2` product), on a
+//! 10⁵…10⁷-token sweep with absolute tokens/sec, bytes/sec, and
+//! per-token cycle-budget columns.
 //!
 //! Every benched document is first cross-checked: dense and two-pass
 //! positions must agree (and match the quadratic naive engine on small
@@ -28,10 +28,10 @@
 
 use bench::{alphabet_of, anchored_document, anchored_expr, print_table};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use rextract_automata::{Regex, Symbol};
+use rextract_automata::{Alphabet, Regex, Symbol};
 use rextract_extraction::{
-    CompileOptions, ExtractScratch, ExtractionExpr, Extractor, JoinStrategy, ModeChoice,
-    NaiveExtractor, SpanRelation, TwoPassExtractor,
+    ExtractScratch, ExtractionExpr, Extractor, JoinStrategy, NaiveExtractor, SpanRelation,
+    TwoPassExtractor,
 };
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -201,6 +201,17 @@ fn subsample(rel: &SpanRelation, max_rows: usize) -> SpanRelation {
     )
 }
 
+/// xorshift64* stream for synthetic documents.
+fn xorshift(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed;
+    move || {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    }
+}
+
 fn bench_join(c: &mut Criterion) {
     // Two-expression join over one document: x = markers right after
     // t0, joined (shared variable) with markers after t0-or-t1. The
@@ -213,13 +224,7 @@ fn bench_join(c: &mut Criterion) {
     let doc_len = if fast_mode() { 10_000 } else { 100_000 };
     let p = alphabet.sym("p");
     let noise: Vec<Symbol> = alphabet.symbols().filter(|&s| s != p).collect();
-    let mut state = 42u64;
-    let mut next = move || {
-        state ^= state >> 12;
-        state ^= state << 25;
-        state ^= state >> 27;
-        state.wrapping_mul(0x2545F4914F6CDD1D)
-    };
+    let mut next = xorshift(42);
     let mut doc = Vec::with_capacity(doc_len);
     while doc.len() + 2 <= doc_len {
         doc.push(noise[(next() % noise.len() as u64) as usize]);
@@ -334,40 +339,35 @@ fn time_scan(tokens: usize, mut f: impl FnMut()) -> f64 {
     t.elapsed().as_nanos() as f64 / f64::from(reps) / tokens as f64
 }
 
-/// Experiment E13 — scan modes and classifier kernels, with absolute
-/// throughput columns.
+/// Experiment E13 — the one-pass sweep against the two-pass engine,
+/// with absolute throughput columns.
 ///
 /// The criterion stand-in reports only ns/iter, so this experiment times
 /// manually and prints a table: ns/token, tokens/sec, bytes/sec (4-byte
 /// symbols), and an estimated per-token cycle budget (ns/token × the
-/// [`estimate_ghz`] calibration). Engines compared on the same documents:
+/// [`estimate_ghz`] calibration). Three workloads:
 ///
-/// * `fused-scalar` — two-pass fused scan, scalar classification (the
-///   always-compiled oracle configuration),
-/// * `fused-auto` — fused scan with the best available kernel (the SSSE3
-///   shuffle kernel under `--features simd`, else identical to scalar;
-///   the printed header names which one was selected),
-/// * `product` — the one-pass product sweep,
-/// * `two-pass` — the previous-generation engine as the baseline.
+/// * `anchored` — the standard anchored expression (single match, `E2 =
+///   Σ*`, a 6-state product);
+/// * `dense-match` — every other position is a valid split, so every
+///   marker is a candidate (they all merge into one bucket);
+/// * `large-product` — `(. × 13)* <p> (. × 12)*` over {p, q}, a
+///   156-state product where up to twelve buckets are live per token:
+///   the sweep's worst case, where the two-pass engine's per-token cost
+///   does not grow.
 ///
-/// Every engine is cross-checked against the two-pass ground truth on
-/// every document BEFORE timing. Two workloads: the standard anchored
-/// expression (single match, E2 = Σ* so the product is small — the shape
-/// product mode is selected for), and a dense-match expression where
-/// every other position is a valid split (worst case for the product
-/// sweep's bucket arena and the fused scan's backward pass alike).
+/// The sweep is cross-checked against the two-pass ground truth on every
+/// document BEFORE timing.
 fn bench_scan_modes(_c: &mut Criterion) {
     let alphabet = alphabet_of(16);
-    let opts = |mode: ModeChoice, force_scalar_classify: bool| CompileOptions {
-        mode,
-        force_scalar_classify,
-        ..CompileOptions::default()
-    };
-
     let anchored = anchored_expr(&alphabet, 4);
     let p = alphabet.sym("p");
     let dense_match = follows_expr(&alphabet, &["t0", "t1"]);
     let noise: Vec<Symbol> = alphabet.symbols().filter(|&s| s != p).collect();
+    let pq = Alphabet::new(["p", "q"]);
+    let dots = |k: usize| vec!["."; k].join(" ");
+    let large_product =
+        ExtractionExpr::parse(&pq, &format!("({})* <p> ({})*", dots(13), dots(12))).unwrap();
 
     let lens: &[usize] = if fast_mode() {
         &[10_000]
@@ -377,50 +377,42 @@ fn bench_scan_modes(_c: &mut Criterion) {
     let ghz = estimate_ghz();
     let mut rows: Vec<Vec<String>> = Vec::new();
 
-    for (workload, expr) in [("anchored", &anchored), ("dense-match", &dense_match)] {
-        let fused_scalar = Extractor::compile_with(expr, &opts(ModeChoice::Fused, true));
-        let fused_auto = Extractor::compile_with(expr, &opts(ModeChoice::Fused, false));
-        let product = Extractor::compile_with(expr, &opts(ModeChoice::Product, false));
+    for (workload, expr) in [
+        ("anchored", &anchored),
+        ("dense-match", &dense_match),
+        ("large-product", &large_product),
+    ] {
+        let sweep = Extractor::compile(expr);
         let two_pass = TwoPassExtractor::compile(expr);
-        eprintln!(
-            "extract/scan-modes: {workload}: auto kernel = {}, product size = {:?}",
-            fused_auto.engine_info().classifier,
-            product.engine_info().product_states,
-        );
         for &len in lens {
-            let doc: Vec<Symbol> = if workload == "anchored" {
-                anchored_document(&alphabet, 4, len / 6, 42)
-            } else {
-                // Alternate noise and markers: ~half the positions split.
-                let mut state = 42u64;
-                let mut next = move || {
-                    state ^= state >> 12;
-                    state ^= state << 25;
-                    state ^= state >> 27;
-                    state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-                };
-                let mut d = Vec::with_capacity(len);
-                while d.len() + 2 <= len {
-                    d.push(noise[(next() % noise.len() as u64) as usize]);
-                    d.push(p);
+            let doc: Vec<Symbol> = match workload {
+                "anchored" => anchored_document(&alphabet, 4, len / 6, 42),
+                "dense-match" => {
+                    // Alternate noise and markers: ~half the positions split.
+                    let mut next = xorshift(42);
+                    let mut d = Vec::with_capacity(len);
+                    while d.len() + 2 <= len {
+                        d.push(noise[(next() % noise.len() as u64) as usize]);
+                        d.push(p);
+                    }
+                    d
                 }
-                d
+                _ => {
+                    let mut next = xorshift(7);
+                    (0..len)
+                        .map(|_| Symbol::from_index((next() >> 33) as usize % 2))
+                        .collect()
+                }
             };
             // Ground truth BEFORE timing: a fast wrong engine would
             // otherwise win every row.
             let want = two_pass.positions(&doc);
             let mut scratch = ExtractScratch::new();
-            for (name, x) in [
-                ("fused-scalar", &fused_scalar),
-                ("fused-auto", &fused_auto),
-                ("product", &product),
-            ] {
-                assert_eq!(
-                    x.positions_into(&doc, &mut scratch),
-                    want.as_slice(),
-                    "{name} disagrees with ground truth on {workload}/{len}"
-                );
-            }
+            assert_eq!(
+                sweep.positions_into(&doc, &mut scratch),
+                want.as_slice(),
+                "sweep disagrees with ground truth on {workload}/{len}"
+            );
             let n = doc.len();
             let mut push_row = |name: &str, ns_per_tok: f64| {
                 let toks_per_s = 1e9 / ns_per_tok;
@@ -437,21 +429,9 @@ fn bench_scan_modes(_c: &mut Criterion) {
                 ]);
             };
             push_row(
-                "fused-scalar",
+                "sweep",
                 time_scan(n, || {
-                    black_box(fused_scalar.positions_into(&doc, &mut scratch));
-                }),
-            );
-            push_row(
-                "fused-auto",
-                time_scan(n, || {
-                    black_box(fused_auto.positions_into(&doc, &mut scratch));
-                }),
-            );
-            push_row(
-                "product",
-                time_scan(n, || {
-                    black_box(product.positions_into(&doc, &mut scratch));
+                    black_box(sweep.positions_into(&doc, &mut scratch));
                 }),
             );
             push_row(
@@ -463,7 +443,7 @@ fn bench_scan_modes(_c: &mut Criterion) {
         }
     }
     print_table(
-        &format!("E13: scan modes + kernels (est clock {ghz:.2} GHz, budget column ≈ ns/tok × clock — an estimate, not a counter reading)"),
+        &format!("E13: one-pass sweep vs two-pass (est clock {ghz:.2} GHz, budget column ≈ ns/tok × clock — an estimate, not a counter reading)"),
         &["engine", "tokens", "ns/tok", "Mtok/s", "MB/s", "≈cyc/tok"],
         &rows,
     );

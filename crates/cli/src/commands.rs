@@ -11,8 +11,7 @@ use rextract_learn::MarkedSeq;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Set by `main` when `--stats` is passed: commands that compile an
-/// extraction engine also print its configuration (scan mode, product
-/// size, classification kernel) to stderr.
+/// extraction engine also print its symbol-class count to stderr.
 static SHOW_STATS: AtomicBool = AtomicBool::new(false);
 
 /// Record whether `--stats` was requested (called once by `main`).
@@ -20,22 +19,11 @@ pub fn set_show_stats(on: bool) {
     SHOW_STATS.store(on, Ordering::Relaxed);
 }
 
-/// `--stats` line for a compiled engine: `rextract: engine mode=product
-/// product_states=6 classifier=scalar classes=3`.
-fn eprint_engine_info(info: rextract_extraction::EngineInfo) {
-    if !SHOW_STATS.load(Ordering::Relaxed) {
-        return;
+/// `--stats` line for a compiled engine: `rextract: engine classes=3`.
+fn eprint_engine_classes(num_classes: usize) {
+    if SHOW_STATS.load(Ordering::Relaxed) {
+        eprintln!("rextract: engine classes={num_classes}");
     }
-    let product = match info.product_states {
-        Some(states) => format!(" product_states={states}"),
-        None => String::new(),
-    };
-    eprintln!(
-        "rextract: engine mode={}{product} classifier={} classes={}",
-        info.mode.name(),
-        info.classifier,
-        info.num_classes,
-    );
 }
 
 /// Top-level usage text.
@@ -229,7 +217,7 @@ pub fn extract(args: &[String]) -> Result<(), String> {
         .str_to_syms(doc_text)
         .map_err(|bad| format!("unknown document symbol {bad:?}"))?;
     let extractor = Extractor::compile(&expr);
-    eprint_engine_info(extractor.engine_info());
+    eprint_engine_classes(extractor.num_classes());
     match extractor.extract_with(&doc, &mut ExtractScratch::new()) {
         Ok(hit) => {
             println!("{}", hit.position);
@@ -366,7 +354,7 @@ pub fn wrapper_extract(args: &[String]) -> Result<(), String> {
     let artifact = std::fs::read_to_string(wrapper_path)
         .map_err(|e| format!("reading {wrapper_path}: {e}"))?;
     let wrapper = Wrapper::import(&artifact).map_err(|e| e.to_string())?;
-    eprint_engine_info(wrapper.engine_info());
+    eprint_engine_classes(wrapper.num_classes());
     let html =
         std::fs::read_to_string(page_path).map_err(|e| format!("reading {page_path}: {e}"))?;
     let tokens = html_tokenize(&html);

@@ -159,6 +159,7 @@ impl std::fmt::Debug for ExtractionExpr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rextract_automata::regex::parser::MAX_NESTING;
 
     fn ab() -> Alphabet {
         Alphabet::new(["p", "q"])
@@ -202,6 +203,30 @@ mod tests {
             ExtractionExpr::parse(&a, "(p <p> q"),
             Err(ExtractionError::Regex(_))
         ));
+    }
+
+    #[test]
+    fn deeply_nested_sides_fail_to_parse_instead_of_aborting() {
+        // A daemon worker's 2 MiB stack, where these used to overflow.
+        let results = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let a = ab();
+                let n = 100_000;
+                let parens = format!("{}q{} <p> .*", "(".repeat(n), ")".repeat(n));
+                let bangs = format!(".* <p> {}q", "!".repeat(n));
+                // At the limit the side still compiles: alternating alt
+                // and concat keep the tree as deep as the text.
+                let deep = MAX_NESTING;
+                let limit = format!("{}q{} <p> .*", "(q | p ".repeat(deep), ")".repeat(deep));
+                [parens, bangs, limit].map(|text| ExtractionExpr::parse(&a, &text).map(|_| ()))
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(matches!(&results[0], Err(ExtractionError::Regex(m)) if m.contains("nested")));
+        assert!(matches!(&results[1], Err(ExtractionError::Regex(m)) if m.contains("nested")));
+        assert_eq!(results[2], Ok(()));
     }
 
     #[test]

@@ -65,10 +65,7 @@ pub mod span;
 pub use algebra::{AlgebraError, JoinStrategy, Plan, Pred, PredOp};
 pub use error::ExtractionError;
 pub use expr::ExtractionExpr;
-pub use extract::{
-    CompileOptions, EngineInfo, ExtractScratch, Extractor, ModeChoice, NaiveExtractor, ScanMode,
-    TwoPassExtractor, DEFAULT_PRODUCT_CUTOFF,
-};
+pub use extract::{ExtractScratch, Extractor, NaiveExtractor, TwoPassExtractor};
 pub use multi::{MultiExtractionExpr, MultiExtractor};
 pub use pivot::segment_ok;
 pub use pivot::PivotExpr;

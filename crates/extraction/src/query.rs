@@ -331,6 +331,12 @@ fn json_string(s: &str) -> String {
     out
 }
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// and everything that walks a parsed value recurse once per level, so
+/// this bound keeps a hostile body from overflowing a 2 MiB worker stack;
+/// query definitions nest a few levels per plan operator.
+pub const MAX_JSON_NESTING: usize = 128;
+
 /// A parsed JSON value — the minimal generic layer under the query
 /// format. Object fields keep document order (duplicates: first wins via
 /// [`get`]).
@@ -350,6 +356,7 @@ impl JsonValue {
         let mut p = JsonParser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -392,6 +399,8 @@ impl JsonValue {
 struct JsonParser<'t> {
     bytes: &'t [u8],
     pos: usize,
+    /// Arrays/objects currently open, bounded by [`MAX_JSON_NESTING`].
+    depth: usize,
 }
 
 impl JsonParser<'_> {
@@ -429,8 +438,12 @@ impl JsonParser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_JSON_NESTING => Err(format!(
+                "nesting deeper than {MAX_JSON_NESTING} levels at byte {}",
+                self.pos
+            )),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true").map(|()| JsonValue::Bool(true)),
             Some(b'f') => self.literal("false").map(|()| JsonValue::Bool(false)),
@@ -438,6 +451,17 @@ impl JsonParser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parse one array or object one nesting level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<JsonValue, String> {
@@ -707,6 +731,28 @@ mod tests {
         for bad in ["{", "[1,]", "\"unterminated", "{} trailing", "nul", "+5"] {
             assert!(JsonValue::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        // A daemon worker's 2 MiB stack, where 9,000 `[` used to abort.
+        let err = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| JsonValue::parse(&"[".repeat(1 << 20)).unwrap_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        assert!(err.contains("nesting deeper"), "{err}");
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(JsonValue::parse(&arrays(MAX_JSON_NESTING)).is_ok());
+        assert!(JsonValue::parse(&arrays(MAX_JSON_NESTING + 1)).is_err());
+        // Objects count too, and the query parser reports a JSON error.
+        let n = MAX_JSON_NESTING + 1;
+        let objects = format!("{}1{}", r#"{"a":"#.repeat(n), "}".repeat(n));
+        assert!(matches!(
+            QueryDef::parse(&objects),
+            Err(QueryError::Json(m)) if m.contains("nesting deeper")
+        ));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! allocate, e.g. for progress output — are invisible to it).
 
 use rextract_automata::Alphabet;
-use rextract_extraction::{CompileOptions, ExtractScratch, ExtractionExpr, Extractor, ModeChoice};
+use rextract_extraction::{ExtractScratch, ExtractionExpr, Extractor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,41 +56,26 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-fn mode_name(mode: ModeChoice) -> &'static str {
-    match mode {
-        ModeChoice::Fused => "fused",
-        ModeChoice::Product => "product",
-        ModeChoice::Auto => unreachable!("tests force a concrete mode"),
+/// Run `work` once to warm the scratch up, then `reps` more times with
+/// the counter armed; returns the number of allocations counted.
+fn allocations_after_warmup(reps: usize, mut work: impl FnMut()) -> u64 {
+    work();
+    ALLOCS.store(0, Ordering::SeqCst);
+    COUNTING.with(|c| c.set(true));
+    for _ in 0..reps {
+        work();
     }
+    COUNTING.with(|c| c.set(false));
+    ALLOCS.load(Ordering::SeqCst)
 }
 
 #[test]
 fn steady_state_extraction_does_not_allocate() {
     let a = Alphabet::new(["p", "q", "r"]);
-    let exprs = [
-        ExtractionExpr::parse(&a, "[^p]* <p> .*").unwrap(),
-        ExtractionExpr::parse(&a, "(q r)* <p> q*").unwrap(),
+    let extractors = [
+        Extractor::compile(&ExtractionExpr::parse(&a, "[^p]* <p> .*").unwrap()),
+        Extractor::compile(&ExtractionExpr::parse(&a, "(q r)* <p> q*").unwrap()),
     ];
-    // Cover BOTH scan modes explicitly: auto selection may pick the
-    // product sweep for these small expressions, which would otherwise
-    // leave the fused path's scratch discipline unproven (and vice
-    // versa). The contract must hold regardless of mode.
-    let extractors: Vec<Extractor> = exprs
-        .iter()
-        .flat_map(|e| {
-            [ModeChoice::Fused, ModeChoice::Product].map(|mode| {
-                let x = Extractor::compile_with(
-                    e,
-                    &CompileOptions {
-                        mode,
-                        ..CompileOptions::default()
-                    },
-                );
-                assert_eq!(x.mode().name(), mode_name(mode));
-                x
-            })
-        })
-        .collect();
 
     // Documents exercising the success path, the dead-state early exit,
     // and the plain no-match path — none of which may allocate. (The
@@ -109,30 +94,57 @@ fn steady_state_extraction_does_not_allocate() {
     let no_match = a.str_to_syms("r r r r r r").unwrap();
     let docs = [matching, long, no_match];
 
+    // The warm-up grows every scratch buffer to the largest document.
     let mut scratch = ExtractScratch::new();
-    // Warm-up: grow every scratch buffer to the largest document.
-    for x in &extractors {
-        for d in &docs {
-            let _ = x.extract_with(d, &mut scratch);
-            let _ = x.positions_into(d, &mut scratch);
-        }
-    }
-
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.with(|c| c.set(true));
-    for _ in 0..50 {
+    let allocs = allocations_after_warmup(50, || {
         for x in &extractors {
             for d in &docs {
                 let _ = x.extract_with(d, &mut scratch);
                 let _ = x.positions_into(d, &mut scratch);
             }
         }
-    }
-    COUNTING.with(|c| c.set(false));
-    let allocs = ALLOCS.load(Ordering::SeqCst);
-
+    });
     assert_eq!(
         allocs, 0,
         "steady-state extract_with/positions_into performed {allocs} heap allocations"
+    );
+}
+
+#[test]
+fn steady_state_bucket_arena_does_not_allocate() {
+    // Marker-dense documents keep two or more E2 states live at once, so
+    // the sweep runs the double-buffered k ≥ 2 arena, not the register
+    // regime the single-marker documents above stay in. Over a run of p:
+    //
+    // * `.* <p> (. .)*` — consecutive candidates sit in the two states of
+    //   E2's parity DFA; every other position splits;
+    // * `.* <p> . p .*` — each candidate passes through three E2 states,
+    //   and older buckets merge into the accepting one every token; every
+    //   position but the last two splits.
+    //
+    // Many positions split, so only the position-oriented entry point is
+    // allocation-free here (the ambiguous extract_with error allocates
+    // by design).
+    let a = Alphabet::new(["p", "q"]);
+    let parity = Extractor::compile(&ExtractionExpr::parse(&a, ".* <p> (. .)*").unwrap());
+    let merging = Extractor::compile(&ExtractionExpr::parse(&a, ".* <p> . p .*").unwrap());
+    let run = vec![a.sym("p"); 501];
+    let mut short = vec![a.sym("p"); 64];
+    short.push(a.sym("q"));
+    let parity_run: Vec<usize> = (0..501).step_by(2).collect();
+    let parity_short: Vec<usize> = (0..64).step_by(2).collect();
+    let merging_run: Vec<usize> = (0..499).collect();
+    let merging_short: Vec<usize> = (0..62).collect();
+
+    let mut scratch = ExtractScratch::new();
+    let allocs = allocations_after_warmup(50, || {
+        assert_eq!(parity.positions_into(&run, &mut scratch), parity_run);
+        assert_eq!(parity.positions_into(&short, &mut scratch), parity_short);
+        assert_eq!(merging.positions_into(&run, &mut scratch), merging_run);
+        assert_eq!(merging.positions_into(&short, &mut scratch), merging_short);
+    });
+    assert_eq!(
+        allocs, 0,
+        "steady-state k ≥ 2 bucket sweep performed {allocs} heap allocations"
     );
 }

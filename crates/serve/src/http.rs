@@ -13,17 +13,14 @@
 //! parsing is what makes the epoll serve core work — a request may arrive
 //! split across arbitrary read boundaries, and a pipelining client may
 //! put several requests into one segment; the caller just accumulates
-//! bytes and parses in a loop. [`read_request`] wraps the same parser for
-//! blocking `BufRead` callers (tests, simple clients) and never consumes
-//! bytes beyond the request it returns, so pipelined requests survive on
-//! the reader.
+//! bytes and parses in a loop.
 //!
 //! Hard limits are explicit and enforced during parsing, before any
 //! allocation proportional to the claimed size: total header block bytes,
 //! header count, body bytes, and exactly one `Content-Length` (duplicates
 //! are smuggling vectors and are rejected outright).
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, Write};
 
 /// Hard limits keeping a hostile or confused client from ballooning
 /// memory: total header block and body size caps.
@@ -93,20 +90,6 @@ pub enum Parse {
     Partial,
     /// The prefix can never become a valid request.
     Error(ParseError),
-}
-
-/// Why a request could not be read from a blocking reader.
-#[derive(Debug)]
-pub enum ReadError {
-    /// Clean EOF before any bytes: the peer closed an idle connection.
-    Closed,
-    /// The read timed out (idle keep-alive slot reclaimed).
-    Timeout,
-    /// Header block or body over the hard limits.
-    TooLarge,
-    /// Anything that does not parse as HTTP; carries a short reason.
-    Malformed(&'static str),
-    Io(io::Error),
 }
 
 /// Percent-decode a query component (`+` as space, `%XX` bytes).
@@ -290,56 +273,6 @@ pub fn parse_request(buf: &[u8]) -> Parse {
     )
 }
 
-fn map_io(e: io::Error) -> ReadError {
-    match e.kind() {
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => ReadError::Timeout,
-        io::ErrorKind::UnexpectedEof | io::ErrorKind::ConnectionReset => ReadError::Closed,
-        _ => ReadError::Io(e),
-    }
-}
-
-/// Read and parse one request from a blocking reader. Consumes from `r`
-/// exactly the bytes of the returned request — a pipelined successor
-/// stays buffered for the next call.
-pub fn read_request(r: &mut impl BufRead) -> Result<Request, ReadError> {
-    let mut pending: Vec<u8> = Vec::new();
-    loop {
-        let chunk_len = {
-            let chunk = match r.fill_buf() {
-                Ok(c) => c,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(map_io(e)),
-            };
-            if chunk.is_empty() {
-                return Err(if pending.is_empty() {
-                    ReadError::Closed
-                } else {
-                    ReadError::Malformed("eof mid-request")
-                });
-            }
-            pending.extend_from_slice(chunk);
-            chunk.len()
-        };
-        match parse_request(&pending) {
-            Parse::Complete(req, used) => {
-                // `pending[..len - chunk_len]` was already consumed from
-                // `r` on earlier iterations; a completed request always
-                // extends past it (the earlier prefix alone was Partial).
-                r.consume(used - (pending.len() - chunk_len));
-                return Ok(req);
-            }
-            Parse::Partial => r.consume(chunk_len),
-            Parse::Error(e) => {
-                r.consume(chunk_len);
-                return Err(match e {
-                    ParseError::TooLarge => ReadError::TooLarge,
-                    ParseError::Malformed(m) => ReadError::Malformed(m),
-                });
-            }
-        }
-    }
-}
-
 /// An outgoing response.
 #[derive(Debug)]
 pub struct Response {
@@ -425,10 +358,18 @@ pub fn status_text(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::BufReader;
 
-    fn parse(raw: &str) -> Result<Request, ReadError> {
-        read_request(&mut BufReader::new(raw.as_bytes()))
+    /// One-shot parse of a whole request; a `Partial` result means the
+    /// input ended mid-request.
+    fn parse(raw: &str) -> Result<Request, ParseError> {
+        match parse_request(raw.as_bytes()) {
+            Parse::Complete(req, used) => {
+                assert_eq!(used, raw.len(), "trailing bytes after the request");
+                Ok(req)
+            }
+            Parse::Partial => Err(ParseError::Malformed("eof mid-request")),
+            Parse::Error(e) => Err(e),
+        }
     }
 
     #[test]
@@ -457,16 +398,20 @@ mod tests {
     }
 
     #[test]
-    fn malformed_and_closed() {
-        assert!(matches!(parse(""), Err(ReadError::Closed)));
-        assert!(matches!(parse("GARBAGE"), Err(ReadError::Malformed(_))));
+    fn malformed_and_incomplete() {
+        assert!(matches!(parse_request(b""), Parse::Partial));
+        assert!(matches!(parse_request(b"GARBAGE"), Parse::Partial));
+        assert!(matches!(
+            parse("GARBAGE\r\n\r\n"),
+            Err(ParseError::Malformed(_))
+        ));
         assert!(matches!(
             parse("GET / HTTP/2\r\n\r\n"),
-            Err(ReadError::Malformed(_))
+            Err(ParseError::Malformed(_))
         ));
         assert!(matches!(
             parse("GET / HTTP/1.1\r\nContent-Length: 99999999999\r\n\r\n"),
-            Err(ReadError::Malformed(_)) | Err(ReadError::TooLarge)
+            Err(ParseError::Malformed(_)) | Err(ParseError::TooLarge)
         ));
     }
 
@@ -481,14 +426,14 @@ mod tests {
             "GET / HTTP/1.1\r\nContent-Length:\r\n\r\n",
         ] {
             assert!(
-                matches!(parse(raw), Err(ReadError::Malformed(_))),
+                matches!(parse(raw), Err(ParseError::Malformed(_))),
                 "accepted {raw:?}"
             );
         }
         // Overlong values are a size violation, not a syntax one.
         assert!(matches!(
             parse("GET / HTTP/1.1\r\nContent-Length: 999999999999999999\r\n\r\n"),
-            Err(ReadError::TooLarge)
+            Err(ParseError::TooLarge)
         ));
     }
 
@@ -499,13 +444,13 @@ mod tests {
             many.push_str(&format!("X-H{i}: v\r\n"));
         }
         many.push_str("\r\n");
-        assert!(matches!(parse(&many), Err(ReadError::TooLarge)));
+        assert!(matches!(parse(&many), Err(ParseError::TooLarge)));
 
         let long = format!(
             "GET / HTTP/1.1\r\nX-Big: {}\r\n\r\n",
             "a".repeat(MAX_HEADER_BYTES)
         );
-        assert!(matches!(parse(&long), Err(ReadError::TooLarge)));
+        assert!(matches!(parse(&long), Err(ParseError::TooLarge)));
 
         // An unterminated header block over the cap is rejected even
         // before its newline arrives.
@@ -547,12 +492,6 @@ mod tests {
         assert_eq!(second.path, "/b");
         assert_eq!(second.body, b"ok");
         assert_eq!(used + used2, raw.len());
-
-        // The blocking reader leaves the second request for the next call.
-        let mut r = BufReader::new(&raw[..]);
-        assert_eq!(read_request(&mut r).unwrap().path, "/a");
-        assert_eq!(read_request(&mut r).unwrap().path, "/b");
-        assert!(matches!(read_request(&mut r), Err(ReadError::Closed)));
     }
 
     #[test]

@@ -820,10 +820,9 @@ impl Metrics {
     }
 
     /// The full `/metrics` document. `engines` is a pre-rendered JSON
-    /// object mapping wrapper name → extraction-engine configuration
-    /// (scan mode, product size, classifier kernel); the server builds
-    /// it from the live registry so mode selection is observable without
-    /// a restart.
+    /// object mapping wrapper name → extraction-engine size (symbol
+    /// classes); the server builds it from the live registry, so a hot
+    /// install shows up without a restart.
     pub fn render_json_with(&self, store: &StoreStats, engines: &str) -> String {
         let mut endpoints = String::from("{");
         for (i, e) in Endpoint::all().into_iter().enumerate() {

@@ -40,9 +40,8 @@
 //! short backoff before being reported.
 
 use rextract_faults::fail_point;
-use rextract_html::token::Token;
 use rextract_wrapper::persist::PersistError;
-use rextract_wrapper::wrapper::{Wrapper, WrapperError, WrapperScratch};
+use rextract_wrapper::wrapper::Wrapper;
 use std::collections::HashMap;
 use std::fmt;
 use std::io;
@@ -100,24 +99,6 @@ pub enum ResolveError {
     /// No name given and the registry is not single-tenant, so there is
     /// no sole wrapper to default to.
     NoSelection,
-}
-
-/// Batch-extract entry point: run `wrapper` over every tokenized page in
-/// `pages`, reusing one `scratch` across the whole batch, collecting
-/// per-page verdicts into `out` (cleared first). With warmed buffers
-/// this path performs **zero allocations** per page — the point of
-/// coalescing same-wrapper requests into batches — which
-/// `tests/batch_alloc.rs` asserts via a counting global allocator.
-pub fn extract_batch_into(
-    wrapper: &Wrapper,
-    pages: &[&[Token]],
-    scratch: &mut WrapperScratch,
-    out: &mut Vec<Result<usize, WrapperError>>,
-) {
-    out.clear();
-    for page in pages {
-        out.push(wrapper.extract_target_with(page, scratch));
-    }
 }
 
 /// Read attempts per artifact before a transient error becomes permanent.
@@ -517,33 +498,6 @@ mod tests {
             Some(ResolveError::NoSelection),
             "two tenants, no default"
         );
-    }
-
-    #[test]
-    fn extract_batch_reuses_one_scratch() {
-        let mut g = SiteGenerator::new(SiteConfig {
-            seed: 8,
-            ..SiteConfig::default()
-        });
-        let train = vec![
-            TrainPage::from(&g.page_with_style(PageStyle::Plain)),
-            TrainPage::from(&g.page_with_style(PageStyle::TableEmbedded)),
-        ];
-        let wrapper = Wrapper::train(&train, WrapperConfig::default()).unwrap();
-        let batch: Vec<_> = (0..4)
-            .map(|_| g.page_with_style(PageStyle::Plain))
-            .collect();
-        let pages: Vec<&[Token]> = batch.iter().map(|p| p.tokens.as_slice()).collect();
-        let mut scratch = WrapperScratch::new();
-        let mut out = Vec::new();
-        extract_batch_into(&wrapper, &pages, &mut scratch, &mut out);
-        assert_eq!(out.len(), 4);
-        for (page, verdict) in batch.iter().zip(&out) {
-            assert!(matches!(verdict, Ok(t) if *t == page.target));
-        }
-        // `out` is cleared, not appended, on reuse.
-        extract_batch_into(&wrapper, &pages[..2], &mut scratch, &mut out);
-        assert_eq!(out.len(), 2);
     }
 
     #[test]

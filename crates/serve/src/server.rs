@@ -1164,23 +1164,15 @@ fn route(
     }
 }
 
-/// Per-wrapper extraction-engine configuration for `/metrics`: which
-/// scan mode each installed wrapper compiled to, the product size when
-/// one-pass mode is active, and the classification kernel in use.
+/// Per-wrapper extraction-engine size for `/metrics`: the number of
+/// symbol classes each installed wrapper's extractor scans with.
 fn engines_json(ctx: &Ctx) -> String {
     let mut out = String::from("{");
     for (i, (name, wrapper)) in ctx.registry.entries().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        let info = wrapper.engine_info();
-        let mut obj = Obj::new()
-            .str("mode", info.mode.name())
-            .str("classifier", info.classifier)
-            .num("classes", info.num_classes as u64);
-        if let Some(states) = info.product_states {
-            obj = obj.num("product_states", states as u64);
-        }
+        let obj = Obj::new().num("classes", wrapper.num_classes() as u64);
         out.push_str(&format!("{:?}:{}", name, obj.finish()));
     }
     out.push('}');

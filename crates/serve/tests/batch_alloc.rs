@@ -4,14 +4,12 @@
 //!
 //! Same counting-`#[global_allocator]` idiom as the extraction crate's
 //! `zero_alloc` test: a const-initialized thread-local gate makes the
-//! tally blind to every other thread, and the batch entry point
-//! ([`rextract_serve::registry::extract_batch_into`]) is driven exactly
-//! the way a worker drives it — resolve once, tokenize once (both
-//! outside the counted window, as in the daemon, where tokenization is
-//! per-request but extraction reuses the shared scratch), then extract
-//! every document against the shared scratch.
+//! tally blind to every other thread. Each document goes through
+//! [`Wrapper::extract_target_with`] against one shared scratch — exactly
+//! what a daemon worker runs per batch item. Training and tokenization
+//! stay outside the counted window, as in the daemon, where tokenization
+//! is per-request but extraction reuses the worker's scratch.
 
-use rextract_serve::registry::extract_batch_into;
 use rextract_wrapper::site::{PageStyle, SiteConfig, SiteGenerator};
 use rextract_wrapper::wrapper::{TrainPage, Wrapper, WrapperConfig, WrapperScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -82,27 +80,28 @@ fn steady_state_batch_does_not_allocate() {
             })
         })
         .collect();
-    let pages: Vec<&[rextract_html::token::Token]> =
-        docs.iter().map(|p| p.tokens.as_slice()).collect();
-
     let mut scratch = WrapperScratch::new();
-    let mut out = Vec::new();
-    // Warm-up batch: grow the shared scratch (and `out`) to the largest
-    // document — exactly what serving the first batch does.
-    extract_batch_into(&wrapper, &pages, &mut scratch, &mut out);
-    for (doc, verdict) in docs.iter().zip(&out) {
-        assert!(matches!(verdict, Ok(t) if *t == doc.target));
+    // Warm-up batch: grow the shared scratch to the largest document —
+    // exactly what serving the first batch does.
+    for doc in &docs {
+        let got = wrapper.extract_target_with(&doc.tokens, &mut scratch);
+        assert_eq!(got.ok(), Some(doc.target));
     }
 
     ALLOCS.store(0, Ordering::SeqCst);
     COUNTING.with(|c| c.set(true));
+    let mut extracted = 0;
     for _ in 0..50 {
-        extract_batch_into(&wrapper, &pages, &mut scratch, &mut out);
+        for doc in &docs {
+            if let Ok(target) = wrapper.extract_target_with(&doc.tokens, &mut scratch) {
+                extracted += usize::from(target == doc.target);
+            }
+        }
     }
     COUNTING.with(|c| c.set(false));
     let allocs = ALLOCS.load(Ordering::SeqCst);
 
-    assert_eq!(out.len(), pages.len());
+    assert_eq!(extracted, 50 * docs.len());
     assert_eq!(
         allocs, 0,
         "steady-state same-wrapper batch performed {allocs} heap allocations"

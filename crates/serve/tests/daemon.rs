@@ -554,6 +554,39 @@ fn records_of(body: &str) -> &str {
 }
 
 #[test]
+fn deeply_nested_bodies_are_rejected_and_the_daemon_survives() {
+    let handle = boot(test_config());
+    let addr = handle.addr();
+
+    // 10,000 `[` overflowed a worker's stack in the JSON parser — an
+    // abort the per-item catch_unwind cannot contain.
+    let (status, body) = request(addr, "POST", "/queries/deep", &"[".repeat(10_000));
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("nesting deeper"), "{body}");
+    let (status, _) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+
+    // An installed query whose inline expression nests 2,000 groups
+    // fails at evaluation with the regex parser's error.
+    let nested = format!("{}FORM{}", "(".repeat(2_000), ")".repeat(2_000));
+    let def = format!(
+        r#"{{"sources":[{{"var":"f","alphabet":"FORM","expr":"{nested} <FORM> .*"}}],
+            "plan":{{"op":"leaf","var":"f"}}}}"#
+    );
+    let (status, body) = request(addr, "POST", "/queries/nested", &def);
+    assert_eq!(status, 201, "{body}");
+    let (status, body) = request(addr, "POST", "/query?query=nested", "<form></form>");
+    assert_eq!(status, 422, "{body}");
+    assert!(body.contains("nested deeper"), "{body}");
+    let (status, _) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+
+    let (status, _) = request(addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    handle.join();
+}
+
+#[test]
 fn query_endpoint_joins_sources_with_strategy_agreement() {
     let handle = boot(test_config());
     let addr = handle.addr();

@@ -6,57 +6,12 @@
 //! to the one complete parse.
 //!
 //! Requests are generated structurally (method/path/query/headers/body),
-//! serialized, then re-fed three ways: one-shot `parse_request`, a
-//! chunked `BufRead` through `read_request`, and an event-loop-style
-//! accumulate-and-drain loop over a pipelined pair.
+//! serialized, then re-fed two ways: one-shot `parse_request` over every
+//! prefix, and an event-loop-style accumulate-and-drain loop over a
+//! pipelined pair split at arbitrary boundaries.
 
 use proptest::prelude::*;
-use rextract_serve::http::{parse_request, read_request, Parse, Request};
-use std::io::{self, BufRead, Read};
-
-/// A `BufRead` whose `fill_buf` never crosses the given cut points —
-/// simulating arbitrary TCP segment boundaries on a blocking reader.
-struct Chunked<'a> {
-    data: &'a [u8],
-    cuts: Vec<usize>,
-    pos: usize,
-}
-
-impl<'a> Chunked<'a> {
-    fn new(data: &'a [u8], mut cuts: Vec<usize>) -> Chunked<'a> {
-        cuts.retain(|&c| c > 0 && c < data.len());
-        cuts.sort_unstable();
-        cuts.dedup();
-        cuts.push(data.len());
-        Chunked { data, cuts, pos: 0 }
-    }
-}
-
-impl Read for Chunked<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        let chunk = self.fill_buf()?;
-        let n = chunk.len().min(buf.len());
-        buf[..n].copy_from_slice(&chunk[..n]);
-        self.consume(n);
-        Ok(n)
-    }
-}
-
-impl BufRead for Chunked<'_> {
-    fn fill_buf(&mut self) -> io::Result<&[u8]> {
-        let end = self
-            .cuts
-            .iter()
-            .copied()
-            .find(|&c| c > self.pos)
-            .unwrap_or(self.data.len());
-        Ok(&self.data[self.pos..end])
-    }
-
-    fn consume(&mut self, amt: usize) {
-        self.pos += amt;
-    }
-}
+use rextract_serve::http::{parse_request, Parse, Request};
 
 /// Structural request generator. Header names avoid the framing headers
 /// (`content-length`, `connection`), which are emitted separately so the
@@ -178,23 +133,8 @@ proptest! {
                 "prefix of {} bytes was not Partial", cut
             );
         }
-        // And a byte-by-byte blocking read agrees with the one-shot parse.
-        let cuts: Vec<usize> = (1..raw.len()).collect();
-        let via_reader = read_request(&mut Chunked::new(&raw, cuts)).unwrap();
-        prop_assert_eq!(via_reader, full);
-    }
-
-    /// Arbitrary segment boundaries produce the identical parse.
-    #[test]
-    fn random_chunkings_parse_identically(
-        req in arb_request(),
-        cuts in proptest::collection::vec(0usize..4096, 0..12),
-    ) {
-        let raw = req.serialize();
-        let full = oneshot(&raw);
-        let cuts: Vec<usize> = cuts.into_iter().map(|c| c % raw.len().max(1)).collect();
-        let via_reader = read_request(&mut Chunked::new(&raw, cuts)).unwrap();
-        prop_assert_eq!(via_reader, full);
+        // The request the full buffer yields carries the serialized body.
+        prop_assert_eq!(full.body, req.body);
     }
 
     /// The event-loop path: two pipelined requests accumulated chunk by

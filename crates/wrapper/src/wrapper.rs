@@ -248,11 +248,10 @@ impl Wrapper {
         &self.train_stats
     }
 
-    /// The compiled extraction engine's configuration (scan mode, product
-    /// size, classification kernel) — surfaced by `--stats` and
-    /// `/metrics` so mode selection is observable in production.
-    pub fn engine_info(&self) -> rextract_extraction::EngineInfo {
-        self.extractor.engine_info()
+    /// Number of symbol classes the compiled extractor scans with —
+    /// surfaced by `--stats` and `/metrics`.
+    pub fn num_classes(&self) -> usize {
+        self.extractor.num_classes()
     }
 
     /// Locate the target on a page, reusing `scratch` for the abstracted

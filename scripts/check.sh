@@ -15,17 +15,15 @@ cargo test -q --workspace
 echo "== cargo test (workspace, failpoints) =="
 cargo test -q --workspace --features failpoints
 
-echo "== cargo build + test (workspace, simd) =="
-# The SIMD classifier must not regress the scalar-gated suite: the same
-# tests run with the shuffle kernel live (runtime SSSE3 detection keeps
-# this safe on machines without it — the kernel falls back to scalar).
-cargo build --release --workspace --features simd
-cargo test -q --workspace --features simd
+echo "== perfbench build + test =="
+# perfbench is a Cargo workspace of its own, so the steps above never
+# compile it; it builds against the crates' public entry points.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
 
 echo "== cargo clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --workspace --all-targets --features failpoints -- -D warnings
-cargo clippy --workspace --all-targets --features simd -- -D warnings
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
@@ -35,18 +33,12 @@ echo "== store contention smoke (fast profile) =="
 # numbers are informational in the fast profile.
 STORE_BENCH_FAST=1 cargo bench -q -p bench --bench store_contention
 
-echo "== extraction engine smoke (fast profile, scalar) =="
-# Asserts the dense engines (fused both kernels, product) and two-pass
-# (and naive, on small documents) agree on every bench corpus document;
-# timings are informational here.
+echo "== extraction engine smoke (fast profile) =="
+# Asserts the one-pass sweep and two-pass (and naive, on small
+# documents) agree on every bench corpus document; timings are
+# informational here.
 EXTRACT_BENCH_FAST=1 BENCH_WARMUP_MS=5 BENCH_MEASURE_MS=40 \
   cargo bench -q -p bench --bench extract_throughput
-
-echo "== extraction engine smoke (fast profile, simd) =="
-# Same run with the shuffle kernel live: the E13 cross-checks compare
-# SIMD-classified scans against the scalar ground truth.
-EXTRACT_BENCH_FAST=1 BENCH_WARMUP_MS=5 BENCH_MEASURE_MS=40 \
-  cargo bench -q -p bench --bench extract_throughput --features simd
 
 echo "== corpus pipeline smoke (fast profile) =="
 # 2 000-page catalog, every tuple cross-checked against ground truth,
