@@ -1,7 +1,7 @@
 //! Hash-consing of canonical minimal DFAs — concurrent, read-mostly.
 //!
 //! Every [`Lang`](crate::lang::Lang) in the process is a handle into one
-//! [`Interner`]: canonical minimal DFAs are bucketed by
+//! `Interner`: canonical minimal DFAs are bucketed by
 //! [`Dfa::canonical_hash`], confirmed with [`Dfa::same_canonical`], and
 //! deduplicated behind [`Arc`]. Interning two different constructions of
 //! the same language yields the same [`LangId`], which is what makes
@@ -15,11 +15,11 @@
 //!
 //! The interner is split so the hot read path never blocks on writers:
 //!
-//! * **id → DFA** resolution ([`Interner::get`], which backs every op-cache
+//! * **id → DFA** resolution (`Interner::get`, which backs every op-cache
 //!   hit) reads an *append-only chunk table* with no lock at all — a
 //!   `Release` store of the table length publishes each new entry, and an
 //!   `Acquire` load on the reader side observes it.
-//! * **interning** ([`Interner::intern`]) takes a read lock on the hash
+//! * **interning** (`Interner::intern`) takes a read lock on the hash
 //!   buckets for the common already-interned probe, upgrading to the write
 //!   lock only to append a genuinely new language. Concurrent interns of
 //!   the same DFA are resolved by re-probing under the write lock, so each

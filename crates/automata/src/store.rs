@@ -3,7 +3,7 @@
 //! All [`Lang`] values are handles into one process-global store. The
 //! store has two layers:
 //!
-//! 1. an [`Interner`] of canonical minimal DFAs (never cleared — ids stay
+//! 1. an interner of canonical minimal DFAs (never cleared — ids stay
 //!    valid for the life of the process), and
 //! 2. a **memoized operation cache** keyed by `(op, lhs_id, rhs_id)` for
 //!    binary operations (`rhs_id = u32::MAX` for unary ones), mapping to

@@ -32,6 +32,7 @@
 //!   SERVE_BENCH_PIPELINE    requests per burst          (default 8; 1 = off)
 
 use rextract_automata::Store;
+use rextract_extraction::json::JsonValue;
 use rextract_html::writer;
 use rextract_learn::perturb::Perturber;
 use rextract_serve::{serve, ServeConfig};
@@ -253,25 +254,6 @@ fn quantile(sorted_us: &[u64], q: f64) -> u64 {
     sorted_us[idx]
 }
 
-/// Extract `"field":value` (number) from a flat JSON body, optionally
-/// scoped to the object following `"scope":`.
-fn json_num(body: &str, scope: Option<&str>, field: &str) -> Option<u64> {
-    let hay = match scope {
-        Some(s) => {
-            let key = format!("\"{s}\":");
-            &body[body.find(&key)? + key.len()..]
-        }
-        None => body,
-    };
-    let key = format!("\"{field}\":");
-    let at = hay.find(&key)? + key.len();
-    let rest = &hay[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 #[derive(Clone, Copy, PartialEq)]
 enum Mode {
     /// One request per exchange (the pre-pipelining protocol).
@@ -376,8 +358,13 @@ fn run_one(workers: usize, clients: usize, requests: usize, keepalive: bool, mod
 
     // Server-side batching truth, from the same daemon before it drains.
     let (_, metrics) = admin.get("/metrics");
-    let batches = json_num(&metrics, None, "batches_dispatched").unwrap_or(0);
-    let batched_reqs = json_num(&metrics, Some("batch_size"), "sum").unwrap_or(0);
+    let metrics = JsonValue::parse(&metrics).expect("/metrics is JSON");
+    let num = |path: &[&str]| {
+        let v = path.iter().try_fold(&metrics, |v, k| v.get(k));
+        v.and_then(JsonValue::as_num).unwrap_or(0.0) as u64
+    };
+    let batches = num(&["batches_dispatched"]);
+    let batched_reqs = num(&["batch_size", "sum"]);
     let avg_batch = if batches > 0 {
         batched_reqs as f64 / batches as f64
     } else {

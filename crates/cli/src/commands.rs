@@ -501,7 +501,6 @@ pub fn query(args: &[String]) -> Result<(), String> {
 
     let mut wrapper_dir: Option<String> = None;
     let mut strategy = JoinStrategy::SortMerge;
-    let mut strategy_name = "sort-merge";
     let mut out_path: Option<String> = None;
     let mut positional: Vec<&str> = Vec::new();
     let mut it = args.iter();
@@ -514,14 +513,9 @@ pub fn query(args: &[String]) -> Result<(), String> {
         match arg.as_str() {
             "--wrappers" => wrapper_dir = Some(value("directory of *.wrapper artifacts")?.into()),
             "--strategy" => {
-                strategy = match value("sort-merge or nested-loop")? {
-                    "sort-merge" => JoinStrategy::SortMerge,
-                    "nested-loop" => {
-                        strategy_name = "nested-loop";
-                        JoinStrategy::NestedLoop
-                    }
-                    other => return Err(format!("--strategy: unknown strategy {other:?}")),
-                }
+                let name = value("sort-merge or nested-loop")?;
+                strategy = JoinStrategy::parse(name)
+                    .ok_or_else(|| format!("--strategy: unknown strategy {name:?}"))?;
             }
             "--out" => out_path = Some(value("output file")?.into()),
             flag if flag.starts_with("--") => {
@@ -608,8 +602,9 @@ pub fn query(args: &[String]) -> Result<(), String> {
     }
     out.flush().map_err(|e| format!("flushing output: {e}"))?;
     eprintln!(
-        "rextract query: {} pages, {records} records, {failures} failures ({strategy_name} join)",
+        "rextract query: {} pages, {records} records, {failures} failures ({} join)",
         page_paths.len(),
+        strategy.name(),
     );
     Ok(())
 }

@@ -48,44 +48,34 @@ pub use router::{AnyWrapper, RouteOutcome, Router, RouterError, WorkerScratch, S
 
 use rextract_html::token::Token;
 use rextract_html::tokenize_spanned;
-use rextract_wrapper::{TupleWrapper, Wrapper};
+use rextract_wrapper::{PageOutcome, TupleWrapper, Wrapper};
 use sink::{error_line, tuple_line, PageLine, ReorderSink};
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
-/// What the pipeline observed on one routed page — the hook through
-/// which a host (the daemon's drift-repair loop) self-labels corpus
-/// pages as wrapper evidence. Unrouted and unreadable pages produce no
-/// event: there is no wrapper to attribute them to.
+/// One routed page, as the pipeline saw it — the hook through which a
+/// host (the daemon) tallies per-wrapper outcomes, feeds its drift
+/// windows and self-labels corpus pages as repair evidence. Unrouted and
+/// unreadable pages produce no event: there is no wrapper to attribute
+/// them to.
 #[derive(Debug)]
-pub enum PageEvent<'a> {
-    /// Extraction succeeded. `targets` are token indices in page order
-    /// (one for a single-target wrapper, `k` for a tuple wrapper).
-    Extracted {
-        /// Wrapper name.
-        wrapper: &'a str,
-        /// The page's token stream.
-        tokens: &'a [Token],
-        /// Extracted token indices.
-        targets: &'a [usize],
-    },
-    /// Routed — by binding or override — but extraction failed; `empty`
-    /// flags a clean no-match (the drift symptom) as opposed to a hard
-    /// failure.
-    Failed {
-        /// Wrapper name.
-        wrapper: &'a str,
-        /// The page's token stream.
-        tokens: &'a [Token],
-        /// True on a clean no-match.
-        empty: bool,
-    },
+pub struct PageEvent<'a> {
+    /// Wrapper name.
+    pub wrapper: &'a str,
+    /// The page's token stream.
+    pub tokens: &'a [Token],
+    /// How extraction went.
+    pub outcome: PageOutcome,
+    /// Extracted token indices in page order: one for a single-target
+    /// wrapper, `k` for a tuple wrapper, none unless `outcome` is `Ok`.
+    pub targets: &'a [usize],
 }
 
-/// Per-page labeling hook (see [`PageEvent`]). Called on worker threads,
-/// so it must be `Send + Sync`; it should be cheap — anything expensive
-/// belongs behind a queue on the host side.
+/// Per-page hook (see [`PageEvent`]). Called on the worker thread as
+/// each routed page finishes — so in page order when the run has one
+/// worker — and must therefore be `Send + Sync`; it should be cheap —
+/// anything expensive belongs behind a queue on the host side.
 pub type PageObserver = dyn Fn(PageEvent<'_>) + Send + Sync;
 
 /// Pipeline run configuration.
@@ -147,22 +137,6 @@ impl std::fmt::Debug for PipelineConfig {
     }
 }
 
-/// Per-wrapper page and tuple tallies.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-pub struct WrapperTally {
-    /// Pages this wrapper extracted successfully.
-    pub pages_ok: u64,
-    /// Pages routed here whose extraction failed hard (e.g. ambiguous).
-    pub pages_failed: u64,
-    /// Pages routed here on which the wrapper matched no position at
-    /// all — the empty-result drift symptom, counted apart from hard
-    /// failures so the daemon's drift detector can watch both rates.
-    pub results_empty: u64,
-    /// Tuples emitted (one per successful page today; kept separate so
-    /// multi-field wrappers can emit more than one).
-    pub tuples_emitted: u64,
-}
-
 /// What a pipeline run did, page by page. The accounting invariant
 /// `pages_total == pages_ok + pages_failed + results_empty +
 /// pages_unrouted + read_errors` always holds — see
@@ -185,8 +159,6 @@ pub struct PipelineReport {
     pub tuples_emitted: u64,
     /// Distinct site signatures bound during the run.
     pub signatures_bound: u64,
-    /// Per-wrapper tallies, sorted by wrapper name.
-    pub per_wrapper: Vec<(String, WrapperTally)>,
 }
 
 impl PipelineReport {
@@ -250,13 +222,13 @@ impl From<io::Error> for PipelineError {
     }
 }
 
-/// Per-page outcome sent from a worker to the draining thread.
-enum Outcome {
-    Ok { wrapper: usize },
-    Failed { wrapper: usize },
-    Empty { wrapper: usize },
+/// What one page adds to the report, sent from a worker to the
+/// draining thread: a routed page's outcome, or a page no wrapper can be
+/// charged for.
+enum Tally {
+    Routed(PageOutcome),
     Unrouted,
-    ReadError,
+    Unreadable,
 }
 
 /// Run the full pipeline: enumerate `cfg.source`, fan pages out over
@@ -301,17 +273,12 @@ pub fn run_pipeline<'a>(
 
     let mut report = PipelineReport {
         pages_total: jobs.len() as u64,
-        per_wrapper: router
-            .wrappers()
-            .iter()
-            .map(|(n, _)| (n.clone(), WrapperTally::default()))
-            .collect(),
         ..PipelineReport::default()
     };
     let mut sink = ReorderSink::new(out, sidecar);
 
     let next_job = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(u64, Outcome, PageLine)>();
+    let (tx, rx) = mpsc::channel::<(u64, Tally, PageLine)>();
     let mut write_err: Option<io::Error> = None;
 
     let observer: Option<&PageObserver> = cfg.observer.as_deref();
@@ -334,25 +301,16 @@ pub fn run_pipeline<'a>(
             });
         }
         drop(tx);
-        for (seq, outcome, line) in rx {
-            match outcome {
-                Outcome::Ok { wrapper } => {
+        for (seq, tally, line) in rx {
+            match tally {
+                Tally::Routed(PageOutcome::Ok) => {
                     report.pages_ok += 1;
                     report.tuples_emitted += 1;
-                    let t = &mut report.per_wrapper[wrapper].1;
-                    t.pages_ok += 1;
-                    t.tuples_emitted += 1;
                 }
-                Outcome::Failed { wrapper } => {
-                    report.pages_failed += 1;
-                    report.per_wrapper[wrapper].1.pages_failed += 1;
-                }
-                Outcome::Empty { wrapper } => {
-                    report.results_empty += 1;
-                    report.per_wrapper[wrapper].1.results_empty += 1;
-                }
-                Outcome::Unrouted => report.pages_unrouted += 1,
-                Outcome::ReadError => report.read_errors += 1,
+                Tally::Routed(PageOutcome::Failed) => report.pages_failed += 1,
+                Tally::Routed(PageOutcome::Empty) => report.results_empty += 1,
+                Tally::Unrouted => report.pages_unrouted += 1,
+                Tally::Unreadable => report.read_errors += 1,
             }
             if let Err(e) = sink.complete(seq, line) {
                 write_err = Some(e);
@@ -379,90 +337,82 @@ fn process_job(
     router: &Router,
     scratch: &mut WorkerScratch,
     observer: Option<&PageObserver>,
-) -> (Outcome, PageLine) {
+) -> (Tally, PageLine) {
     let body = match ingest::read_page(job) {
         Ok(b) => b,
         Err(e) => {
             return (
-                Outcome::ReadError,
+                Tally::Unreadable,
                 PageLine::Error(error_line(&job.source, &format!("read: {e}"))),
             )
         }
     };
     let (tokens, spans) = tokenize_spanned(&body);
-    match router.route_and_extract(&tokens, scratch) {
-        RouteOutcome::Extracted { wrapper, target } => {
-            let (name, w) = &router.wrappers()[wrapper];
-            if let Some(obs) = observer {
-                obs(PageEvent::Extracted {
-                    wrapper: name,
-                    tokens: &tokens,
-                    targets: &[target],
-                });
-            }
-            let (s, e) = spans[target];
-            let line = tuple_line(
-                &job.source,
-                name,
-                w.format_version(),
-                w.revision(),
-                &[(s, e)],
-                &[&body[s..e]],
-            );
-            (Outcome::Ok { wrapper }, PageLine::Tuple(line))
-        }
+    let routed = router.route_and_extract(&tokens, scratch);
+    let (wrapper, targets, outcome, reason) = match &routed {
+        RouteOutcome::Extracted { wrapper, target } => (
+            *wrapper,
+            std::slice::from_ref(target),
+            PageOutcome::Ok,
+            None,
+        ),
         RouteOutcome::ExtractedTuple { wrapper, targets } => {
-            let (name, w) = &router.wrappers()[wrapper];
-            if let Some(obs) = observer {
-                obs(PageEvent::Extracted {
-                    wrapper: name,
-                    tokens: &tokens,
-                    targets: &targets,
-                });
-            }
-            let offsets: Vec<(usize, usize)> = targets.iter().map(|&t| spans[t]).collect();
-            let fields: Vec<&str> = offsets.iter().map(|&(s, e)| &body[s..e]).collect();
-            let line = tuple_line(
-                &job.source,
-                name,
-                w.format_version(),
-                w.revision(),
-                &offsets,
-                &fields,
-            );
-            (Outcome::Ok { wrapper }, PageLine::Tuple(line))
+            (*wrapper, &targets[..], PageOutcome::Ok, None)
         }
         RouteOutcome::Failed {
             wrapper,
             reason,
             empty,
         } => {
-            let name = &router.wrappers()[wrapper].0;
-            if let Some(obs) = observer {
-                obs(PageEvent::Failed {
-                    wrapper: name,
-                    tokens: &tokens,
-                    empty,
-                });
-            }
-            let (outcome, verb) = if empty {
-                (Outcome::Empty { wrapper }, "extract empty")
+            let outcome = if *empty {
+                PageOutcome::Empty
             } else {
-                (Outcome::Failed { wrapper }, "extract failed")
+                PageOutcome::Failed
             };
-            (
-                outcome,
-                PageLine::Error(error_line(
-                    &job.source,
-                    &format!("{verb} ({name}): {reason}"),
-                )),
+            (*wrapper, &[][..], outcome, Some(reason))
+        }
+        RouteOutcome::Unrouted => {
+            return (
+                Tally::Unrouted,
+                PageLine::Error(error_line(&job.source, "unrouted")),
             )
         }
-        RouteOutcome::Unrouted => (
-            Outcome::Unrouted,
-            PageLine::Error(error_line(&job.source, "unrouted")),
-        ),
+    };
+    let (name, w) = &router.wrappers()[wrapper];
+    if let Some(obs) = observer {
+        obs(PageEvent {
+            wrapper: name,
+            tokens: &tokens,
+            outcome,
+            targets,
+        });
     }
+    let line = match reason {
+        None => {
+            let offsets: Vec<(usize, usize)> = targets.iter().map(|&t| spans[t]).collect();
+            let fields: Vec<&str> = offsets.iter().map(|&(s, e)| &body[s..e]).collect();
+            PageLine::Tuple(tuple_line(
+                &job.source,
+                name,
+                w.format_version(),
+                w.revision(),
+                &offsets,
+                &fields,
+            ))
+        }
+        Some(reason) => {
+            let verb = if outcome == PageOutcome::Empty {
+                "extract empty"
+            } else {
+                "extract failed"
+            };
+            PageLine::Error(error_line(
+                &job.source,
+                &format!("{verb} ({name}): {reason}"),
+            ))
+        }
+    };
+    (Tally::Routed(outcome), line)
 }
 
 #[cfg(test)]
@@ -670,19 +620,16 @@ mod tests {
     fn observer_sees_every_routed_page() {
         use std::sync::Mutex;
         let (wrappers, corpus) = wrappers_and_corpus(10);
-        let events: Arc<Mutex<Vec<(String, usize, usize)>>> = Arc::new(Mutex::new(Vec::new()));
+        type Seen = (String, PageOutcome, usize, Vec<usize>);
+        let events: Arc<Mutex<Vec<Seen>>> = Arc::new(Mutex::new(Vec::new()));
         let sink = Arc::clone(&events);
         let observer: Arc<PageObserver> = Arc::new(move |ev: PageEvent<'_>| {
-            if let PageEvent::Extracted {
-                wrapper,
-                tokens,
-                targets,
-            } = ev
-            {
-                sink.lock()
-                    .unwrap()
-                    .push((wrapper.to_string(), tokens.len(), targets[0]));
-            }
+            sink.lock().unwrap().push((
+                ev.wrapper.to_string(),
+                ev.outcome,
+                ev.tokens.len(),
+                ev.targets.to_vec(),
+            ));
         });
         let cfg = PipelineConfig {
             workers: 2,
@@ -692,9 +639,12 @@ mod tests {
         let mut out = Vec::new();
         let report = run_pipeline(&cfg, wrappers, &mut out, None).unwrap();
         let events = events.lock().unwrap();
-        assert_eq!(events.len() as u64, report.pages_ok);
-        assert!(events.iter().all(|(_, n_tokens, t)| t < n_tokens));
-        assert!(events.iter().any(|(w, _, _)| w == "search"));
-        assert!(events.iter().any(|(w, _, _)| w == "listing"));
+        let routed = report.pages_ok + report.pages_failed + report.results_empty;
+        assert_eq!(events.len() as u64, routed);
+        let ok = events.iter().filter(|(_, o, _, _)| *o == PageOutcome::Ok);
+        assert_eq!(ok.clone().count() as u64, report.pages_ok);
+        assert!(ok.clone().all(|(_, _, n, ts)| ts.len() == 1 && ts[0] < *n));
+        assert!(ok.clone().any(|(w, ..)| w == "search"));
+        assert!(ok.clone().any(|(w, ..)| w == "listing"));
     }
 }

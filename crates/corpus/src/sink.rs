@@ -24,26 +24,25 @@
 //! sidecar stream, or inline in the main stream when no sidecar is
 //! given: a page is never silently dropped.
 
+use rextract_extraction::json::{self, Obj};
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 
-/// Append a JSON string literal (with escaping) to `out`.
-fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// A line buffer sized for the fixed keys (under 128 bytes) plus the
+/// variable text, so a line without escapes renders without regrowing.
+fn line_buffer(names: &[&str], fields: &[&str]) -> String {
+    let text: usize = names.iter().chain(fields).map(|s| s.len()).sum();
+    String::with_capacity(128 + text)
+}
+
+/// The `byte_offsets` and `fields` pair every record line ends with.
+fn provenance<'a>(o: Obj<'a>, byte_offsets: &[(usize, usize)], fields: &[&str]) -> Obj<'a> {
+    o.arr("byte_offsets", |a| {
+        byte_offsets
+            .iter()
+            .fold(a, |a, &(s, e)| a.arr(|p| p.num(s as u64).num(e as u64)))
+    })
+    .strs("fields", fields.iter().copied())
 }
 
 /// Format one provenance tuple line (no trailing newline).
@@ -60,30 +59,15 @@ pub fn tuple_line(
     fields: &[&str],
 ) -> String {
     debug_assert_eq!(byte_offsets.len(), fields.len());
-    let mut out = String::with_capacity(96);
-    out.push_str("{\"source\":");
-    push_json_str(&mut out, source);
-    out.push_str(",\"wrapper\":");
-    push_json_str(&mut out, wrapper);
-    out.push_str(",\"wrapper_version\":");
-    out.push_str(&wrapper_version.to_string());
-    out.push_str(",\"wrapper_revision\":");
-    out.push_str(&wrapper_revision.to_string());
-    out.push_str(",\"byte_offsets\":[");
-    for (i, (s, e)) in byte_offsets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("[{s},{e}]"));
-    }
-    out.push_str("],\"fields\":[");
-    for (i, f) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_str(&mut out, f);
-    }
-    out.push_str("]}");
+    let mut out = line_buffer(&[source, wrapper], fields);
+    json::write_object(&mut out, |o| {
+        let o = o
+            .str("source", source)
+            .str("wrapper", wrapper)
+            .num("wrapper_version", wrapper_version.into())
+            .num("wrapper_revision", wrapper_revision.into());
+        provenance(o, byte_offsets, fields)
+    });
     out
 }
 
@@ -100,44 +84,21 @@ pub fn query_line(
 ) -> String {
     debug_assert_eq!(byte_offsets.len(), fields.len());
     debug_assert_eq!(vars.len(), fields.len());
-    let mut out = String::with_capacity(96);
-    out.push_str("{\"source\":");
-    push_json_str(&mut out, source);
-    out.push_str(",\"query\":");
-    push_json_str(&mut out, query);
-    out.push_str(",\"vars\":[");
-    for (i, v) in vars.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_str(&mut out, v);
-    }
-    out.push_str("],\"byte_offsets\":[");
-    for (i, (s, e)) in byte_offsets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("[{s},{e}]"));
-    }
-    out.push_str("],\"fields\":[");
-    for (i, f) in fields.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_json_str(&mut out, f);
-    }
-    out.push_str("]}");
+    let mut out = line_buffer(&[source, query], fields);
+    json::write_object(&mut out, |o| {
+        let o = o
+            .str("source", source)
+            .str("query", query)
+            .strs("vars", vars.iter().copied());
+        provenance(o, byte_offsets, fields)
+    });
     out
 }
 
 /// Format one error line (unrouted / read failure / failed extraction).
 pub fn error_line(source: &str, error: &str) -> String {
-    let mut out = String::with_capacity(64);
-    out.push_str("{\"source\":");
-    push_json_str(&mut out, source);
-    out.push_str(",\"error\":");
-    push_json_str(&mut out, error);
-    out.push('}');
+    let mut out = line_buffer(&[source], &[error]);
+    json::write_object(&mut out, |o| o.str("source", source).str("error", error));
     out
 }
 
@@ -237,6 +198,38 @@ mod tests {
             line,
             r#"{"source":"p.html","query":"pair","vars":["form","field"],"byte_offsets":[[3,9],[12,20]],"fields":["<form>","<input>"]}"#
         );
+    }
+
+    #[test]
+    fn lines_parse_back_to_the_values_passed_in() {
+        use rextract_extraction::json::JsonValue;
+        // Every C0 control, the JSON specials, DEL, U+2028 and non-BMP
+        // characters, in sources, names and fields alike.
+        let nasty: String = ('\0'..='\u{1f}')
+            .chain(['"', '\\', '\u{7f}', '\u{2028}', '😀', '\u{10ffff}'])
+            .collect();
+        let strs =
+            |v: &[&str]| JsonValue::Arr(v.iter().map(|s| JsonValue::Str(s.to_string())).collect());
+        let str_at = |line: &str, key: &str| {
+            let v = JsonValue::parse(line).unwrap_or_else(|e| panic!("{line:?}: {e}"));
+            v.get(key).cloned()
+        };
+        let fields = [nasty.as_str(), "<a href=\"x\">"];
+        let tuple = tuple_line(&nasty, &nasty, 2, 1, &[(0, 3), (4, 9)], &fields);
+        assert_eq!(
+            str_at(&tuple, "source"),
+            Some(JsonValue::Str(nasty.clone()))
+        );
+        assert_eq!(
+            str_at(&tuple, "wrapper"),
+            Some(JsonValue::Str(nasty.clone()))
+        );
+        assert_eq!(str_at(&tuple, "fields"), Some(strs(&fields)));
+        let query = query_line(&nasty, "q", &[&nasty, "b"], &[(0, 3), (4, 9)], &fields);
+        assert_eq!(str_at(&query, "vars"), Some(strs(&[&nasty, "b"])));
+        assert_eq!(str_at(&query, "fields"), Some(strs(&fields)));
+        let error = error_line(&nasty, &nasty);
+        assert_eq!(str_at(&error, "error"), Some(JsonValue::Str(nasty.clone())));
     }
 
     #[test]

@@ -133,6 +133,26 @@ pub enum JoinStrategy {
     NestedLoop,
 }
 
+impl JoinStrategy {
+    /// Wire name, as used by `rextract query --strategy` and the
+    /// daemon's `?strategy=`.
+    pub fn name(self) -> &'static str {
+        match self {
+            JoinStrategy::SortMerge => "sort-merge",
+            JoinStrategy::NestedLoop => "nested-loop",
+        }
+    }
+
+    /// Parse a wire name.
+    pub fn parse(name: &str) -> Option<JoinStrategy> {
+        match name {
+            "sort-merge" => Some(JoinStrategy::SortMerge),
+            "nested-loop" => Some(JoinStrategy::NestedLoop),
+            _ => None,
+        }
+    }
+}
+
 impl SpanRelation {
     /// π: keep `vars` (in the requested order), deduplicating the
     /// narrowed rows.

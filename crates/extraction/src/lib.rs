@@ -25,7 +25,9 @@
 //! of Freydenberger–Kimelfeld–Peterfreund: every engine result is a
 //! [`SpanRelation`], and projection/union/natural-join (with `before` /
 //! `contains` ordering predicates) assemble multi-field records from
-//! independent expressions over the same document.
+//! independent expressions over the same document. [`json`] is the
+//! workspace's one JSON implementation: the query format's parser and
+//! the append-only writer every wire format renders through.
 //!
 //! ## Example: the paper's running `p`/`q` expressions
 //!
@@ -51,6 +53,7 @@ pub mod error;
 pub mod expr;
 pub mod extract;
 pub mod filtering;
+pub mod json;
 pub mod left_filter;
 pub mod maximality;
 pub mod multi;

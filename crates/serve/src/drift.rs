@@ -70,7 +70,7 @@ struct Evidence {
 }
 
 /// Shared evidence store + repair scheduling state, owned by the daemon
-/// and fed by the `/extract` hot path.
+/// and fed by its per-page observer (`/extract` and `/pipeline`).
 pub struct RepairHub {
     state: Mutex<HashMap<String, Evidence>>,
     /// Base backoff after a failed attempt; doubles per attempt.
@@ -100,13 +100,13 @@ impl RepairHub {
     }
 
     /// Retain a failing page as repair evidence.
-    pub fn record_failure(&self, name: &str, tokens: Vec<Token>) {
+    pub fn record_failure(&self, name: &str, tokens: &[Token]) {
         let mut map = self.lock();
         let ev = map.entry(name.to_string()).or_default();
         if ev.failing.len() == FAILING_CAP {
             ev.failing.pop_front();
         }
-        ev.failing.push_back(tokens);
+        ev.failing.push_back(tokens.to_vec());
     }
 
     /// Whether a repair attempt may start now: attempts not exhausted,
@@ -326,7 +326,7 @@ mod tests {
             hub.record_success("w", &toks, 0);
         }
         for _ in 0..FAILING_CAP + 5 {
-            hub.record_failure("w", toks.clone());
+            hub.record_failure("w", &toks);
         }
         let (good, failing) = hub.snapshot("w").unwrap();
         assert_eq!(good.len(), GOOD_CAP);
@@ -342,9 +342,9 @@ mod tests {
         let toks = tokenize("<p>x</p>");
         assert!(!hub.ready("w"), "no evidence yet");
         hub.record_success("w", &toks, 0);
-        hub.record_failure("w", toks.clone());
+        hub.record_failure("w", &toks);
         assert!(!hub.ready("w"), "one failing page is not enough");
-        hub.record_failure("w", toks.clone());
+        hub.record_failure("w", &toks);
         assert!(hub.ready("w"));
         hub.note_attempt("w");
         assert!(!hub.ready("w"), "backoff armed");
@@ -430,7 +430,7 @@ mod tests {
                 .extract_target_with(&edited.tokens, &mut scratch)
                 .is_err()
             {
-                hub.record_failure("cat", edited.tokens);
+                hub.record_failure("cat", &edited.tokens);
                 drifted += 1;
             }
         }

@@ -20,6 +20,7 @@
 //! header count, body bytes, and exactly one `Content-Length` (duplicates
 //! are smuggling vectors and are rejected outright).
 
+use rextract_extraction::json;
 use std::io::{self, Write};
 
 /// Hard limits keeping a hostile or confused client from ballooning
@@ -291,6 +292,11 @@ impl Response {
             body,
             close: false,
         }
+    }
+
+    /// A JSON `{"error": message}` body.
+    pub fn error(status: u16, message: &str) -> Response {
+        Response::json(status, json::object(|o| o.str("error", message)))
     }
 
     pub fn text(status: u16, body: impl Into<String>) -> Response {

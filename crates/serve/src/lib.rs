@@ -31,8 +31,9 @@
 //! * **Live metrics.** `GET /metrics` reports per-endpoint request
 //!   counts, latency histograms with p50/p90/p99, queue depth, rejected
 //!   connections, epoll wakeups, pipelined requests, the batch-size
-//!   histogram, per-wrapper page/tuple tallies (shared by `/extract` and
-//!   `/pipeline`), and the full `StoreStats` (hits, misses, evictions).
+//!   histogram, per-wrapper page/tuple tallies (fed page by page by
+//!   `/extract` and `/pipeline` through one observer), and the full
+//!   `StoreStats` (hits, misses, evictions).
 //! * **Graceful shutdown.** `POST /shutdown` (or
 //!   [`server::ServerHandle::shutdown`]) closes the accept gate, drains
 //!   admitted jobs, and lets in-flight requests finish — up to
@@ -88,14 +89,13 @@
 pub mod drift;
 pub mod epoll;
 pub mod http;
-pub mod json;
 pub mod metrics;
 pub mod pool;
 pub mod queries;
 pub mod registry;
 pub mod server;
 
-pub use metrics::{Endpoint, Metrics};
+pub use metrics::{Counter, Endpoint, Metrics};
 pub use queries::QueryStore;
 pub use registry::Registry;
 pub use server::ServerHandle;

@@ -1,16 +1,44 @@
-//! Live daemon metrics: per-endpoint request counts and latency
-//! histograms, queue depth, backpressure rejections, and the language
-//! store's counters — lock-free atomics (plus one short-critical-section
-//! mutex for the dynamically-keyed per-wrapper tallies), snapshotted by
+//! Live daemon metrics: one table of plain counters and gauges
+//! ([`Counter`]), per-endpoint request counts and latency histograms,
+//! the batch-size histogram, and the keyed per-wrapper and per-query
+//! tallies and drift windows — lock-free atomics (plus short-critical-
+//! section mutexes for the dynamically-keyed maps), snapshotted by
 //! `GET /metrics` without pausing workers.
 
-use crate::json::{num_array, Obj};
 use rextract_automata::StoreStats;
+use rextract_extraction::json::{self, Obj};
 use rextract_faults::fail_point;
+use rextract_wrapper::PageOutcome;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
+
+/// Declares a fieldless enum as a table: every variant carries its doc
+/// comment and one entry of the given type, and `ALL` lists the
+/// variants in declaration order — the order `/metrics` renders them in.
+macro_rules! table {
+    ($(#[$meta:meta])* pub enum $ty:ident: $entry:ty {
+        $($(#[$vmeta:meta])* $variant:ident => $value:expr,)*
+    }) => {
+        $(#[$meta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum $ty {
+            $($(#[$vmeta])* $variant,)*
+        }
+
+        impl $ty {
+            /// Every variant, in declaration order.
+            pub const ALL: &'static [$ty] = &[$($ty::$variant),*];
+
+            fn entry(self) -> $entry {
+                match self {
+                    $($ty::$variant => $value,)*
+                }
+            }
+        }
+    };
+}
 
 /// Upper bounds (µs) of the latency histogram buckets; one implicit
 /// overflow bucket above the last bound. Log-ish spacing spanning 50µs
@@ -72,18 +100,16 @@ impl Histogram {
             .unwrap_or(0)
     }
 
-    fn to_json(&self) -> String {
-        Obj::new()
-            .num("count", self.count())
+    fn json<'a>(&self, o: Obj<'a>) -> Obj<'a> {
+        o.num("count", self.count())
             .num("mean_us", self.mean_us())
             .num("p50_us", self.quantile_us(0.50))
             .num("p90_us", self.quantile_us(0.90))
             .num("p99_us", self.quantile_us(0.99))
-            .raw(
+            .nums(
                 "buckets",
-                &num_array(self.counts.iter().map(|c| c.load(Ordering::Relaxed))),
+                self.counts.iter().map(|c| c.load(Ordering::Relaxed)),
             )
-            .finish()
     }
 }
 
@@ -124,74 +150,120 @@ impl SizeHistogram {
         self.max.load(Ordering::Relaxed)
     }
 
-    fn to_json(&self) -> String {
-        Obj::new()
-            .num("count", self.count())
+    fn json<'a>(&self, o: Obj<'a>) -> Obj<'a> {
+        o.num("count", self.count())
             .num("sum", self.sum())
             .num("max", self.max())
-            .raw("bounds", &num_array(BATCH_BOUNDS.iter().copied()))
-            .raw(
+            .nums("bounds", BATCH_BOUNDS)
+            .nums(
                 "buckets",
-                &num_array(self.counts.iter().map(|c| c.load(Ordering::Relaxed))),
+                self.counts.iter().map(|c| c.load(Ordering::Relaxed)),
             )
-            .finish()
     }
 }
 
-/// The daemon's request surfaces, as metric dimensions.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Endpoint {
-    Extract,
-    InstallWrapper,
-    ListWrappers,
-    Pipeline,
-    Healthz,
-    Metrics,
-    Reload,
-    Shutdown,
-    InstallQuery,
-    ListQueries,
-    Query,
-    Other,
+table! {
+    /// The daemon's request surfaces, as metric dimensions.
+    pub enum Endpoint: &'static str {
+        Extract => "extract",
+        InstallWrapper => "install_wrapper",
+        ListWrappers => "list_wrappers",
+        Pipeline => "pipeline",
+        Healthz => "healthz",
+        Metrics => "metrics",
+        Reload => "reload",
+        Shutdown => "shutdown",
+        InstallQuery => "install_query",
+        ListQueries => "list_queries",
+        Query => "query",
+        Other => "other",
+    }
 }
 
 impl Endpoint {
     pub fn name(self) -> &'static str {
-        match self {
-            Endpoint::Extract => "extract",
-            Endpoint::InstallWrapper => "install_wrapper",
-            Endpoint::ListWrappers => "list_wrappers",
-            Endpoint::Pipeline => "pipeline",
-            Endpoint::Healthz => "healthz",
-            Endpoint::Metrics => "metrics",
-            Endpoint::Reload => "reload",
-            Endpoint::Shutdown => "shutdown",
-            Endpoint::InstallQuery => "install_query",
-            Endpoint::ListQueries => "list_queries",
-            Endpoint::Query => "query",
-            Endpoint::Other => "other",
-        }
+        self.entry()
     }
+}
 
-    fn index(self) -> usize {
-        self as usize
-    }
+/// Where a [`Counter`] renders in the `/metrics` document.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Section {
+    /// Top level, ahead of the `workers` object.
+    Head,
+    /// The `workers` object.
+    Workers,
+    /// Top level, after the `workers` object.
+    Body,
+    /// The `drift` object, after its `window` and `threshold`.
+    Drift,
+    /// The `pipeline` object.
+    Pipeline,
+}
 
-    pub fn all() -> [Endpoint; 12] {
-        [
-            Endpoint::Extract,
-            Endpoint::InstallWrapper,
-            Endpoint::ListWrappers,
-            Endpoint::Pipeline,
-            Endpoint::Healthz,
-            Endpoint::Metrics,
-            Endpoint::Reload,
-            Endpoint::Shutdown,
-            Endpoint::InstallQuery,
-            Endpoint::ListQueries,
-            Endpoint::Query,
-            Endpoint::Other,
-        ]
+table! {
+    /// Every plain counter and gauge the daemon keeps: one atomic each in
+    /// [`Metrics`], written with [`Metrics::add`], [`Metrics::sub`] and
+    /// [`Metrics::set`], read with [`Metrics::get`], and rendered into
+    /// `/metrics` under its section and key.
+    pub enum Counter: (Section, &'static str) {
+        /// Connections currently waiting in the job queue (gauge).
+        QueueDepth => (Section::Head, "queue_depth"),
+        /// Batches a worker is actively serving (gauge).
+        InFlight => (Section::Head, "in_flight"),
+        /// Connections refused with 503 at the accept gate or on a full
+        /// queue.
+        Rejected => (Section::Head, "rejected_total"),
+        /// Worker pool size the daemon was booted with (gauge).
+        WorkersConfigured => (Section::Workers, "configured"),
+        /// Workers currently running; dips below configured between a
+        /// death and the supervisor's respawn (gauge).
+        WorkersAlive => (Section::Workers, "alive"),
+        /// Workers the supervisor respawned after a death.
+        WorkerRespawns => (Section::Workers, "respawns"),
+        /// Artifacts quarantined (renamed to `*.corrupt`) by directory
+        /// scans.
+        CorruptArtifacts => (Section::Body, "corrupt_artifacts"),
+        /// Transient artifact reads that were retried.
+        IoRetries => (Section::Body, "io_retries"),
+        /// Artifacts a rescan skipped because their on-disk signature was
+        /// unchanged since the last clean import.
+        ReloadSkippedUnchanged => (Section::Body, "reload_skipped_unchanged"),
+        /// Accepted connections the daemon could not admit (EMFILE-style
+        /// post-accept failures); the connection is dropped, accepting
+        /// goes on.
+        AcceptFailures => (Section::Body, "accept_failures"),
+        /// Requests answered 503 because the per-request deadline passed.
+        DeadlineExceeded => (Section::Body, "deadline_exceeded"),
+        /// Connections abandoned because the drain deadline passed first.
+        AbandonedConnections => (Section::Body, "abandoned_connections"),
+        /// Sockets whose timeout/nodelay configuration failed (served
+        /// anyway, but without the usual stall protection).
+        SockConfigFailures => (Section::Body, "sock_config_failures"),
+        /// `epoll_wait` returns that delivered at least one event. The
+        /// ratio of requests to wakeups is the loop's amortization factor.
+        EpollWakeups => (Section::Body, "epoll_wakeups"),
+        /// Requests parsed while an earlier request on the same
+        /// connection was still unanswered — the HTTP/1.1 pipelining win.
+        PipelinedRequests => (Section::Body, "pipelined_requests"),
+        /// Batches handed to the worker pool.
+        BatchesDispatched => (Section::Body, "batches_dispatched"),
+        /// Wrappers flagged Degraded by the drift detector (counts
+        /// transitions, not bad pages).
+        DriftFlagged => (Section::Drift, "flagged"),
+        /// Online repair attempts started by the supervisor.
+        RepairsAttempted => (Section::Drift, "repairs_attempted"),
+        /// Repairs that validated and hot-installed a healed wrapper.
+        RepairsSucceeded => (Section::Drift, "repairs_succeeded"),
+        /// Repairs that failed (training error, validation miss, or
+        /// panic).
+        RepairsFailed => (Section::Drift, "repairs_failed"),
+        /// Pages enumerated by `/pipeline` runs.
+        PipelinePages => (Section::Pipeline, "pages"),
+        /// `/pipeline` pages no wrapper matched.
+        PipelineUnrouted => (Section::Pipeline, "unrouted"),
+        /// `/pipeline` pages whose body could not be read.
+        PipelineReadErrors => (Section::Pipeline, "read_errors"),
     }
 }
 
@@ -203,8 +275,8 @@ struct EndpointMetrics {
     latency: Histogram,
 }
 
-/// Per-wrapper page and tuple tallies, shared by `/extract` (one page
-/// per request) and `/pipeline` (a whole corpus per request).
+/// Per-wrapper page and tuple tallies, fed page by page by `/extract`
+/// and `/pipeline` alike.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct WrapperCounters {
     /// Pages this wrapper extracted successfully.
@@ -231,63 +303,40 @@ pub struct QueryCounters {
     pub failures: u64,
 }
 
-/// One page's extraction outcome, as the drift detector sees it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum PageOutcome {
-    /// Target located.
-    Ok,
-    /// Wrapper ran but matched nothing (`NoMatch`) — the paper's primary
-    /// drift symptom.
-    Empty,
-    /// Extraction failed hard (ambiguous match, bad page).
-    Failed,
-}
-
-/// A wrapper's serving health in the drift/repair lifecycle:
-/// `Healthy → Degraded → Repairing → Healthy` on a successful repair,
-/// or `→ Quarantined` when repair attempts are exhausted.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WrapperHealth {
-    /// Failure rates below threshold; serving normally.
-    Healthy,
-    /// Drift flagged: a sliding-window failure or empty-result rate
-    /// crossed the threshold. Still serving best-effort (or 503 under
-    /// `--drift-strict`) while repair evidence accumulates.
-    Degraded,
-    /// A supervisor-owned repair thread is retraining the wrapper.
-    Repairing,
-    /// Repair attempts exhausted; the wrapper stays installed (and keeps
-    /// serving best-effort) but no further repairs are tried until a
-    /// manual install resets it.
-    Quarantined,
+table! {
+    /// A wrapper's serving health in the drift/repair lifecycle:
+    /// `Healthy → Degraded → Repairing → Healthy` on a successful repair,
+    /// or `→ Quarantined` when repair attempts are exhausted.
+    #[derive(Default)]
+    pub enum WrapperHealth: &'static str {
+        /// Failure rates below threshold; serving normally.
+        #[default]
+        Healthy => "healthy",
+        /// Drift flagged: a sliding-window failure or empty-result rate
+        /// crossed the threshold. Still serving best-effort (or 503 under
+        /// `--drift-strict`) while repair evidence accumulates.
+        Degraded => "degraded",
+        /// A supervisor-owned repair thread is retraining the wrapper.
+        Repairing => "repairing",
+        /// Repair attempts exhausted; the wrapper stays installed (and
+        /// keeps serving best-effort) but no further repairs are tried
+        /// until a manual install resets it.
+        Quarantined => "quarantined",
+    }
 }
 
 impl WrapperHealth {
     pub fn name(self) -> &'static str {
-        match self {
-            WrapperHealth::Healthy => "healthy",
-            WrapperHealth::Degraded => "degraded",
-            WrapperHealth::Repairing => "repairing",
-            WrapperHealth::Quarantined => "quarantined",
-        }
+        self.entry()
     }
 }
 
 /// Per-wrapper drift detector state: a sliding window of recent page
 /// outcomes plus the wrapper's health.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct DriftState {
     recent: VecDeque<PageOutcome>,
     health: WrapperHealth,
-}
-
-impl Default for DriftState {
-    fn default() -> Self {
-        DriftState {
-            recent: VecDeque::new(),
-            health: WrapperHealth::Healthy,
-        }
-    }
 }
 
 /// Forced-detection hook: the `serve.drift.detect` failpoint (action
@@ -298,54 +347,23 @@ fn drift_detect_forced() -> bool {
     false
 }
 
-/// Sentinel for [`Metrics::last_worker_death_ms`]: no worker has died.
+/// Take a keyed-tally lock; a panic elsewhere never poisons the metrics.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Sentinel for `last_worker_death_ms`: no worker has died.
 const NEVER: u64 = u64::MAX;
 
 /// Shared, lock-free metrics hub.
 pub struct Metrics {
     started: Instant,
-    endpoints: [EndpointMetrics; 12],
-    /// Connections refused with 503 at the accept gate (queue full).
-    rejected: AtomicU64,
-    /// Connections currently waiting in the job queue.
-    queue_depth: AtomicUsize,
-    /// Connections a worker is actively serving.
-    in_flight: AtomicUsize,
-    /// Worker pool size the daemon was booted with.
-    workers_configured: AtomicUsize,
-    /// Workers currently running (dips below configured between a death
-    /// and the supervisor's respawn).
-    workers_alive: AtomicUsize,
-    /// Workers the supervisor respawned after a death.
-    worker_respawns: AtomicU64,
+    /// One atomic per [`Counter`], indexed by variant.
+    counters: [AtomicU64; Counter::ALL.len()],
+    endpoints: [EndpointMetrics; Endpoint::ALL.len()],
     /// Milliseconds since `started` of the most recent worker death;
     /// [`NEVER`] if none has died.
     last_worker_death_ms: AtomicU64,
-    /// Artifacts quarantined (renamed to `*.corrupt`) by directory scans.
-    corrupt_artifacts: AtomicU64,
-    /// Transient artifact reads that were retried.
-    io_retries: AtomicU64,
-    /// Artifacts a rescan skipped because their on-disk signature was
-    /// unchanged since the last clean import.
-    reload_skipped_unchanged: AtomicU64,
-    /// Accepted connections the daemon could not admit (EMFILE-style
-    /// post-accept failures); the connection is dropped, accepting goes on.
-    accept_failures: AtomicU64,
-    /// Requests answered 503 because the per-request deadline passed.
-    deadline_exceeded: AtomicU64,
-    /// Connections abandoned because the drain deadline passed first.
-    abandoned_connections: AtomicU64,
-    /// Sockets whose timeout/nodelay configuration failed (served
-    /// anyway, but without the usual stall protection).
-    sock_config_failures: AtomicU64,
-    /// `epoll_wait` returns that delivered at least one event. The ratio
-    /// of requests to wakeups is the loop's amortization factor.
-    epoll_wakeups: AtomicU64,
-    /// Requests parsed while an earlier request on the same connection
-    /// was still unanswered — the HTTP/1.1 pipelining win.
-    pipelined_requests: AtomicU64,
-    /// Batches handed to the worker pool.
-    batches_dispatched: AtomicU64,
     /// Distribution of dispatched batch sizes.
     batch_size: SizeHistogram,
     /// Per-wrapper page/tuple tallies keyed by wrapper name — the one
@@ -356,70 +374,50 @@ pub struct Metrics {
     /// rationale as `wrappers`; touched once per `/query` request).
     queries: Mutex<BTreeMap<String, QueryCounters>>,
     /// Per-wrapper drift detector windows + health, fed by the same
-    /// `/extract` and `/pipeline` outcome stream as the tallies above.
+    /// per-page outcomes as the tallies above.
     drift: Mutex<BTreeMap<String, DriftState>>,
     /// Sliding-window size for drift detection (0 disables detection).
     drift_window: AtomicUsize,
     /// Failure/empty-rate threshold that flags drift, stored as `f64`
     /// bits so the hot path stays lock-free.
     drift_threshold_bits: AtomicU64,
-    /// Wrappers flagged Degraded by the detector (counts transitions,
-    /// not bad pages).
-    drift_flagged: AtomicU64,
-    /// Online repair attempts started by the supervisor.
-    repairs_attempted: AtomicU64,
-    /// Repairs that validated and hot-installed a healed wrapper.
-    repairs_succeeded: AtomicU64,
-    /// Repairs that failed (training error, validation miss, or panic).
-    repairs_failed: AtomicU64,
-    /// Pages enumerated by `/pipeline` runs.
-    pipeline_pages: AtomicU64,
-    /// `/pipeline` pages no wrapper matched.
-    pipeline_unrouted: AtomicU64,
-    /// `/pipeline` pages whose body could not be read.
-    pipeline_read_errors: AtomicU64,
 }
 
 impl Metrics {
     pub fn new() -> Metrics {
         Metrics {
             started: Instant::now(),
+            counters: Default::default(),
             endpoints: Default::default(),
-            rejected: AtomicU64::new(0),
-            queue_depth: AtomicUsize::new(0),
-            in_flight: AtomicUsize::new(0),
-            workers_configured: AtomicUsize::new(0),
-            workers_alive: AtomicUsize::new(0),
-            worker_respawns: AtomicU64::new(0),
             last_worker_death_ms: AtomicU64::new(NEVER),
-            corrupt_artifacts: AtomicU64::new(0),
-            io_retries: AtomicU64::new(0),
-            reload_skipped_unchanged: AtomicU64::new(0),
-            accept_failures: AtomicU64::new(0),
-            deadline_exceeded: AtomicU64::new(0),
-            abandoned_connections: AtomicU64::new(0),
-            sock_config_failures: AtomicU64::new(0),
-            epoll_wakeups: AtomicU64::new(0),
-            pipelined_requests: AtomicU64::new(0),
-            batches_dispatched: AtomicU64::new(0),
             batch_size: SizeHistogram::default(),
             wrappers: Mutex::new(BTreeMap::new()),
             queries: Mutex::new(BTreeMap::new()),
             drift: Mutex::new(BTreeMap::new()),
             drift_window: AtomicUsize::new(0),
             drift_threshold_bits: AtomicU64::new(1.0f64.to_bits()),
-            drift_flagged: AtomicU64::new(0),
-            repairs_attempted: AtomicU64::new(0),
-            repairs_succeeded: AtomicU64::new(0),
-            repairs_failed: AtomicU64::new(0),
-            pipeline_pages: AtomicU64::new(0),
-            pipeline_unrouted: AtomicU64::new(0),
-            pipeline_read_errors: AtomicU64::new(0),
         }
     }
 
+    pub fn add(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Lower a gauge.
+    pub fn sub(&self, counter: Counter, n: u64) {
+        self.counters[counter as usize].fetch_sub(n, Ordering::Relaxed);
+    }
+
+    pub fn set(&self, counter: Counter, value: u64) {
+        self.counters[counter as usize].store(value, Ordering::Relaxed);
+    }
+
+    pub fn get(&self, counter: Counter) -> u64 {
+        self.counters[counter as usize].load(Ordering::Relaxed)
+    }
+
     pub fn record(&self, endpoint: Endpoint, status: u16, elapsed_us: u64) {
-        let m = &self.endpoints[endpoint.index()];
+        let m = &self.endpoints[endpoint as usize];
         m.requests.fetch_add(1, Ordering::Relaxed);
         if status >= 400 {
             m.errors.fetch_add(1, Ordering::Relaxed);
@@ -427,58 +425,12 @@ impl Metrics {
         m.latency.record(elapsed_us);
     }
 
-    pub fn record_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn rejected(&self) -> u64 {
-        self.rejected.load(Ordering::Relaxed)
-    }
-
-    pub fn set_queue_depth(&self, depth: usize) {
-        self.queue_depth.store(depth, Ordering::Relaxed);
-    }
-
-    pub fn enter_worker(&self) {
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn exit_worker(&self) {
-        self.in_flight.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    pub fn requests(&self, endpoint: Endpoint) -> u64 {
-        self.endpoints[endpoint.index()]
-            .requests
-            .load(Ordering::Relaxed)
-    }
-
-    pub fn set_workers_configured(&self, n: usize) {
-        self.workers_configured.store(n, Ordering::Relaxed);
-    }
-
-    pub fn workers_configured(&self) -> usize {
-        self.workers_configured.load(Ordering::Relaxed)
-    }
-
-    pub fn set_workers_alive(&self, n: usize) {
-        self.workers_alive.store(n, Ordering::Relaxed);
-    }
-
-    pub fn workers_alive(&self) -> usize {
-        self.workers_alive.load(Ordering::Relaxed)
-    }
-
     /// A worker thread died (panic escaped the per-connection guard) and
     /// the supervisor is replacing it.
     pub fn record_worker_respawn(&self) {
-        self.worker_respawns.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::WorkerRespawns, 1);
         let now_ms = self.started.elapsed().as_millis() as u64;
         self.last_worker_death_ms.store(now_ms, Ordering::Relaxed);
-    }
-
-    pub fn worker_respawns(&self) -> u64 {
-        self.worker_respawns.load(Ordering::Relaxed)
     }
 
     /// Time since the most recent worker death, or `None` if none ever
@@ -494,105 +446,16 @@ impl Metrics {
         ))
     }
 
-    pub fn record_corrupt_artifacts(&self, n: u64) {
-        self.corrupt_artifacts.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn corrupt_artifacts(&self) -> u64 {
-        self.corrupt_artifacts.load(Ordering::Relaxed)
-    }
-
-    pub fn record_io_retries(&self, n: u64) {
-        self.io_retries.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn io_retries(&self) -> u64 {
-        self.io_retries.load(Ordering::Relaxed)
-    }
-
-    pub fn record_reload_skipped_unchanged(&self, n: u64) {
-        self.reload_skipped_unchanged
-            .fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn reload_skipped_unchanged(&self) -> u64 {
-        self.reload_skipped_unchanged.load(Ordering::Relaxed)
-    }
-
-    pub fn record_accept_failure(&self) {
-        self.accept_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn accept_failures(&self) -> u64 {
-        self.accept_failures.load(Ordering::Relaxed)
-    }
-
-    pub fn record_deadline_exceeded(&self) {
-        self.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn deadline_exceeded(&self) -> u64 {
-        self.deadline_exceeded.load(Ordering::Relaxed)
-    }
-
-    pub fn record_abandoned_connections(&self, n: u64) {
-        self.abandoned_connections.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn abandoned_connections(&self) -> u64 {
-        self.abandoned_connections.load(Ordering::Relaxed)
-    }
-
-    pub fn record_sock_config_failure(&self) {
-        self.sock_config_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn sock_config_failures(&self) -> u64 {
-        self.sock_config_failures.load(Ordering::Relaxed)
-    }
-
-    pub fn record_epoll_wakeup(&self) {
-        self.epoll_wakeups.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn epoll_wakeups(&self) -> u64 {
-        self.epoll_wakeups.load(Ordering::Relaxed)
-    }
-
-    pub fn record_pipelined_request(&self) {
-        self.pipelined_requests.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn pipelined_requests(&self) -> u64 {
-        self.pipelined_requests.load(Ordering::Relaxed)
-    }
-
     /// One batch of `size` items was admitted to the worker queue.
     pub fn record_batch(&self, size: u64) {
-        self.batches_dispatched.fetch_add(1, Ordering::Relaxed);
+        self.add(Counter::BatchesDispatched, 1);
         self.batch_size.record(size);
-    }
-
-    pub fn batches_dispatched(&self) -> u64 {
-        self.batches_dispatched.load(Ordering::Relaxed)
-    }
-
-    pub fn batch_size(&self) -> &SizeHistogram {
-        &self.batch_size
-    }
-
-    fn wrappers_lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, WrapperCounters>> {
-        self.wrappers.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    fn queries_lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, QueryCounters>> {
-        self.queries.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// One `POST /query` evaluation under `name`: `Some(n)` emitted `n`
     /// joined records, `None` errored.
     pub fn record_query(&self, name: &str, records: Option<u64>) {
-        let mut map = self.queries_lock();
+        let mut map = lock(&self.queries);
         let c = map.entry(name.to_string()).or_default();
         match records {
             Some(n) => {
@@ -603,68 +466,24 @@ impl Metrics {
         }
     }
 
-    /// Snapshot of one query's counters (tests / observability).
-    pub fn query_counters(&self, name: &str) -> QueryCounters {
-        self.queries_lock().get(name).cloned().unwrap_or_default()
-    }
-
-    /// One page's extraction outcome under `name` (the `/extract` path:
-    /// one page, zero or one tuple). Feeds both the per-wrapper tallies
-    /// and the drift detector window; returns `true` when this page
-    /// newly flagged the wrapper as Degraded.
-    pub fn record_wrapper_outcome(&self, name: &str, outcome: PageOutcome, tuples: u64) -> bool {
+    /// One page's extraction outcome under `name`, from `/extract` or
+    /// `/pipeline` alike (a successful page emits one tuple). Feeds both
+    /// the per-wrapper tallies and the drift detector window; returns
+    /// `true` when this page newly flagged the wrapper as Degraded.
+    pub fn record_wrapper_outcome(&self, name: &str, outcome: PageOutcome) -> bool {
         {
-            let mut map = self.wrappers_lock();
+            let mut map = lock(&self.wrappers);
             let c = map.entry(name.to_string()).or_default();
             match outcome {
-                PageOutcome::Ok => c.pages_ok += 1,
+                PageOutcome::Ok => {
+                    c.pages_ok += 1;
+                    c.tuples_emitted += 1;
+                }
                 PageOutcome::Empty => c.results_empty += 1,
                 PageOutcome::Failed => c.pages_failed += 1,
             }
-            c.tuples_emitted += tuples;
         }
-        self.drift_observe(name, &[(outcome, 1)])
-    }
-
-    /// Fold a batch of per-wrapper tallies in (the `/pipeline` path: a
-    /// whole corpus per call). The aggregate outcomes feed the same drift
-    /// windows as `/extract` traffic; returns `true` when the batch newly
-    /// flagged the wrapper as Degraded.
-    pub fn record_wrapper_tallies(
-        &self,
-        name: &str,
-        ok: u64,
-        failed: u64,
-        empty: u64,
-        tuples: u64,
-    ) -> bool {
-        if ok == 0 && failed == 0 && empty == 0 && tuples == 0 {
-            return false; // don't mint zero rows for wrappers no page touched
-        }
-        {
-            let mut map = self.wrappers_lock();
-            let c = map.entry(name.to_string()).or_default();
-            c.pages_ok += ok;
-            c.pages_failed += failed;
-            c.results_empty += empty;
-            c.tuples_emitted += tuples;
-        }
-        self.drift_observe(
-            name,
-            &[
-                (PageOutcome::Ok, ok),
-                (PageOutcome::Failed, failed),
-                (PageOutcome::Empty, empty),
-            ],
-        )
-    }
-
-    pub fn wrapper_counters(&self, name: &str) -> WrapperCounters {
-        self.wrappers_lock().get(name).copied().unwrap_or_default()
-    }
-
-    fn drift_lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, DriftState>> {
-        self.drift.lock().unwrap_or_else(|p| p.into_inner())
+        self.drift_observe(name, outcome)
     }
 
     /// Configure drift detection: flag a wrapper Degraded when, over the
@@ -684,61 +503,47 @@ impl Metrics {
         f64::from_bits(self.drift_threshold_bits.load(Ordering::Relaxed))
     }
 
-    /// Push page outcomes into `name`'s sliding window and re-evaluate
+    /// Push one page outcome into `name`'s sliding window and re-evaluate
     /// the drift predicate. Detection only ever *flags* (Healthy →
     /// Degraded); recovery goes through a successful repair or a manual
     /// install, never through the window quietly refilling with
     /// successes — a wrapper that was drifting stays visible until acted
     /// on. Returns `true` on a new flag.
-    fn drift_observe(&self, name: &str, outcomes: &[(PageOutcome, u64)]) -> bool {
+    fn drift_observe(&self, name: &str, outcome: PageOutcome) -> bool {
         let window = self.drift_window();
         if window == 0 {
             return false;
         }
-        let mut map = self.drift_lock();
+        let mut map = lock(&self.drift);
         let st = map.entry(name.to_string()).or_default();
-        for &(outcome, n) in outcomes {
-            // Only the last `window` entries matter; cap the pushes so a
-            // million-page pipeline batch does O(window) work here.
-            for _ in 0..n.min(window as u64) {
-                if st.recent.len() == window {
-                    st.recent.pop_front();
-                }
-                st.recent.push_back(outcome);
-            }
+        if st.recent.len() == window {
+            st.recent.pop_front();
         }
+        st.recent.push_back(outcome);
         if st.health != WrapperHealth::Healthy {
             return false;
         }
         let flagged = if drift_detect_forced() {
-            !st.recent.is_empty()
+            true
         } else if st.recent.len() == window {
-            let failed = st
-                .recent
-                .iter()
-                .filter(|o| **o == PageOutcome::Failed)
-                .count() as f64;
-            let empty = st
-                .recent
-                .iter()
-                .filter(|o| **o == PageOutcome::Empty)
-                .count() as f64;
-            let n = window as f64;
+            let rate = |o: PageOutcome| {
+                st.recent.iter().filter(|&&r| r == o).count() as f64 / window as f64
+            };
             let threshold = self.drift_threshold();
-            failed / n >= threshold || empty / n >= threshold
+            rate(PageOutcome::Failed) >= threshold || rate(PageOutcome::Empty) >= threshold
         } else {
             false
         };
         if flagged {
             st.health = WrapperHealth::Degraded;
-            self.drift_flagged.fetch_add(1, Ordering::Relaxed);
+            self.add(Counter::DriftFlagged, 1);
         }
         flagged
     }
 
     /// The wrapper's current health (Healthy if never observed).
     pub fn wrapper_health(&self, name: &str) -> WrapperHealth {
-        self.drift_lock()
+        lock(&self.drift)
             .get(name)
             .map(|s| s.health)
             .unwrap_or(WrapperHealth::Healthy)
@@ -747,7 +552,7 @@ impl Metrics {
     /// Transition a wrapper's health (the repair supervisor's lever);
     /// returns the previous state.
     pub fn set_wrapper_health(&self, name: &str, health: WrapperHealth) -> WrapperHealth {
-        let mut map = self.drift_lock();
+        let mut map = lock(&self.drift);
         let st = map.entry(name.to_string()).or_default();
         std::mem::replace(&mut st.health, health)
     }
@@ -757,7 +562,7 @@ impl Metrics {
     /// `POST /wrappers/{name}`, both of which replace the wrapper the
     /// evidence was collected against.
     pub fn reset_wrapper_drift(&self, name: &str) {
-        let mut map = self.drift_lock();
+        let mut map = lock(&self.drift);
         let st = map.entry(name.to_string()).or_default();
         st.recent.clear();
         st.health = WrapperHealth::Healthy;
@@ -766,178 +571,90 @@ impl Metrics {
     /// Every wrapper whose health is not Healthy, sorted by name — the
     /// repair supervisor's worklist and `/healthz`'s degradation signal.
     pub fn unhealthy_wrappers(&self) -> Vec<(String, WrapperHealth)> {
-        self.drift_lock()
+        lock(&self.drift)
             .iter()
             .filter(|(_, s)| s.health != WrapperHealth::Healthy)
             .map(|(n, s)| (n.clone(), s.health))
             .collect()
     }
 
-    pub fn drift_flagged(&self) -> u64 {
-        self.drift_flagged.load(Ordering::Relaxed)
+    /// Write every [`Counter`] of `section`, in table order.
+    fn counters<'a>(&self, o: Obj<'a>, section: Section) -> Obj<'a> {
+        Counter::ALL
+            .iter()
+            .filter(|c| c.entry().0 == section)
+            .fold(o, |o, &c| o.num(c.entry().1, self.get(c)))
     }
 
-    pub fn record_repair_attempted(&self) {
-        self.repairs_attempted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn repairs_attempted(&self) -> u64 {
-        self.repairs_attempted.load(Ordering::Relaxed)
-    }
-
-    pub fn record_repair_succeeded(&self) {
-        self.repairs_succeeded.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn repairs_succeeded(&self) -> u64 {
-        self.repairs_succeeded.load(Ordering::Relaxed)
-    }
-
-    pub fn record_repair_failed(&self) {
-        self.repairs_failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    pub fn repairs_failed(&self) -> u64 {
-        self.repairs_failed.load(Ordering::Relaxed)
-    }
-
-    /// Corpus-level counters from one `/pipeline` run.
-    pub fn record_pipeline_run(&self, pages: u64, unrouted: u64, read_errors: u64) {
-        self.pipeline_pages.fetch_add(pages, Ordering::Relaxed);
-        self.pipeline_unrouted
-            .fetch_add(unrouted, Ordering::Relaxed);
-        self.pipeline_read_errors
-            .fetch_add(read_errors, Ordering::Relaxed);
-    }
-
-    pub fn pipeline_pages(&self) -> u64 {
-        self.pipeline_pages.load(Ordering::Relaxed)
-    }
-
-    /// The full `/metrics` document with an empty `engines` section.
-    pub fn render_json(&self, store: &StoreStats) -> String {
-        self.render_json_with(store, "{}")
-    }
-
-    /// The full `/metrics` document. `engines` is a pre-rendered JSON
-    /// object mapping wrapper name → extraction-engine size (symbol
-    /// classes); the server builds it from the live registry, so a hot
-    /// install shows up without a restart.
-    pub fn render_json_with(&self, store: &StoreStats, engines: &str) -> String {
-        let mut endpoints = String::from("{");
-        for (i, e) in Endpoint::all().into_iter().enumerate() {
-            let m = &self.endpoints[e.index()];
-            if i > 0 {
-                endpoints.push(',');
-            }
-            let body = Obj::new()
-                .num("requests", m.requests.load(Ordering::Relaxed))
-                .num("errors", m.errors.load(Ordering::Relaxed))
-                .raw("latency", &m.latency.to_json())
-                .finish();
-            endpoints.push_str(&format!("\"{}\":{}", e.name(), body));
-        }
-        endpoints.push('}');
-        let mut wrappers = String::from("{");
-        for (i, (name, c)) in self.wrappers_lock().iter().enumerate() {
-            if i > 0 {
-                wrappers.push(',');
-            }
-            let body = Obj::new()
-                .num("pages_ok", c.pages_ok)
-                .num("pages_failed", c.pages_failed)
-                .num("results_empty", c.results_empty)
-                .num("tuples_emitted", c.tuples_emitted)
-                .str("health", self.wrapper_health(name).name())
-                .finish();
-            wrappers.push_str(&format!("{:?}:{}", name, body));
-        }
-        wrappers.push('}');
-        let mut queries = String::from("{");
-        for (i, (name, c)) in self.queries_lock().iter().enumerate() {
-            if i > 0 {
-                queries.push(',');
-            }
-            let body = Obj::new()
-                .num("evaluations", c.evaluations)
-                .num("records_emitted", c.records_emitted)
-                .num("failures", c.failures)
-                .finish();
-            queries.push_str(&format!("{name:?}:{body}"));
-        }
-        queries.push('}');
-        let drift = Obj::new()
-            .num("window", self.drift_window() as u64)
-            .float("threshold", self.drift_threshold())
-            .num("flagged", self.drift_flagged())
-            .num("repairs_attempted", self.repairs_attempted())
-            .num("repairs_succeeded", self.repairs_succeeded())
-            .num("repairs_failed", self.repairs_failed())
-            .finish();
-        let pipeline = Obj::new()
-            .num("pages", self.pipeline_pages())
-            .num("unrouted", self.pipeline_unrouted.load(Ordering::Relaxed))
-            .num(
-                "read_errors",
-                self.pipeline_read_errors.load(Ordering::Relaxed),
-            )
-            .finish();
-        let workers = Obj::new()
-            .num("configured", self.workers_configured() as u64)
-            .num("alive", self.workers_alive() as u64)
-            .num("respawns", self.worker_respawns())
-            .finish();
-        #[cfg_attr(not(feature = "failpoints"), allow(unused_mut))]
-        let mut obj = Obj::new()
-            .num("uptime_ms", self.started.elapsed().as_millis() as u64)
-            .num(
-                "queue_depth",
-                self.queue_depth.load(Ordering::Relaxed) as u64,
-            )
-            .num("in_flight", self.in_flight.load(Ordering::Relaxed) as u64)
-            .num("rejected_total", self.rejected.load(Ordering::Relaxed))
-            .raw("workers", &workers)
-            .num("corrupt_artifacts", self.corrupt_artifacts())
-            .num("io_retries", self.io_retries())
-            .num("reload_skipped_unchanged", self.reload_skipped_unchanged())
-            .num("accept_failures", self.accept_failures())
-            .num("deadline_exceeded", self.deadline_exceeded())
-            .num("abandoned_connections", self.abandoned_connections())
-            .num("sock_config_failures", self.sock_config_failures())
-            .num("epoll_wakeups", self.epoll_wakeups())
-            .num("pipelined_requests", self.pipelined_requests())
-            .num("batches_dispatched", self.batches_dispatched())
-            .raw("batch_size", &self.batch_size.to_json())
-            .raw(
-                "latency_bucket_bounds_us",
-                &num_array(LATENCY_BOUNDS_US.iter().copied()),
-            )
-            .raw("endpoints", &endpoints)
-            .raw("wrappers", &wrappers)
-            .raw("queries", &queries)
-            .raw("drift", &drift)
-            .raw("pipeline", &pipeline)
-            .raw("engines", engines)
-            .raw("store", &store_stats_json(store));
-        #[cfg(feature = "failpoints")]
-        {
-            let mut arr = String::from("[");
-            for (i, fp) in rextract_faults::snapshot().iter().enumerate() {
-                if i > 0 {
-                    arr.push(',');
-                }
-                arr.push_str(
-                    &Obj::new()
-                        .str("name", &fp.name)
-                        .num("evals", fp.evals)
-                        .num("fires", fp.fires)
-                        .finish(),
-                );
-            }
-            arr.push(']');
-            obj = obj.raw("failpoints", &arr);
-        }
-        obj.finish()
+    /// The full `/metrics` document. `engines` maps each installed
+    /// wrapper's name to its extraction-engine size (symbol classes);
+    /// the server reads it from the live registry, so a hot install
+    /// shows up without a restart.
+    pub fn render_json(&self, store: &StoreStats, engines: &[(&str, u64)]) -> String {
+        json::object(|o| {
+            let o = o.num("uptime_ms", self.started.elapsed().as_millis() as u64);
+            let o = self
+                .counters(o, Section::Head)
+                .obj("workers", |w| self.counters(w, Section::Workers));
+            let o = self
+                .counters(o, Section::Body)
+                .obj("batch_size", |b| self.batch_size.json(b))
+                .nums("latency_bucket_bounds_us", LATENCY_BOUNDS_US)
+                .obj("endpoints", |o| {
+                    Endpoint::ALL.iter().fold(o, |o, &e| {
+                        let m = &self.endpoints[e as usize];
+                        o.obj(e.name(), |o| {
+                            o.num("requests", m.requests.load(Ordering::Relaxed))
+                                .num("errors", m.errors.load(Ordering::Relaxed))
+                                .obj("latency", |l| m.latency.json(l))
+                        })
+                    })
+                })
+                .obj("wrappers", |o| {
+                    lock(&self.wrappers).iter().fold(o, |o, (name, c)| {
+                        o.obj(name, |o| {
+                            o.num("pages_ok", c.pages_ok)
+                                .num("pages_failed", c.pages_failed)
+                                .num("results_empty", c.results_empty)
+                                .num("tuples_emitted", c.tuples_emitted)
+                                .str("health", self.wrapper_health(name).name())
+                        })
+                    })
+                })
+                .obj("queries", |o| {
+                    lock(&self.queries).iter().fold(o, |o, (name, c)| {
+                        o.obj(name, |o| {
+                            o.num("evaluations", c.evaluations)
+                                .num("records_emitted", c.records_emitted)
+                                .num("failures", c.failures)
+                        })
+                    })
+                })
+                .obj("drift", |d| {
+                    let d = d
+                        .num("window", self.drift_window() as u64)
+                        .float("threshold", self.drift_threshold());
+                    self.counters(d, Section::Drift)
+                })
+                .obj("pipeline", |p| self.counters(p, Section::Pipeline))
+                .obj("engines", |o| {
+                    engines.iter().fold(o, |o, &(name, classes)| {
+                        o.obj(name, |e| e.num("classes", classes))
+                    })
+                })
+                .obj("store", |o| store_stats_json(store, o));
+            #[cfg(feature = "failpoints")]
+            let o = o.arr("failpoints", |a| {
+                rextract_faults::snapshot().iter().fold(a, |a, fp| {
+                    a.obj(|o| {
+                        o.str("name", &fp.name)
+                            .num("evals", fp.evals)
+                            .num("fires", fp.fires)
+                    })
+                })
+            });
+            o
+        })
     }
 }
 
@@ -947,30 +664,10 @@ impl Default for Metrics {
     }
 }
 
-/// Language-store counters as JSON (the serve-side view of `StoreStats`;
-/// the automata crate stays presentation-free).
-pub fn store_stats_json(s: &StoreStats) -> String {
-    let mut per_op = String::from("{");
-    let mut first = true;
-    for o in &s.per_op {
-        if o.hits + o.misses == 0 {
-            continue;
-        }
-        if !first {
-            per_op.push(',');
-        }
-        first = false;
-        per_op.push_str(&format!(
-            "\"{}\":{}",
-            o.name,
-            Obj::new()
-                .num("hits", o.hits)
-                .num("misses", o.misses)
-                .finish()
-        ));
-    }
-    per_op.push('}');
-    let mut obj = Obj::new()
+/// Language-store counters as JSON fields (the serve-side view of
+/// `StoreStats`; the automata crate stays presentation-free).
+fn store_stats_json<'a>(s: &StoreStats, o: Obj<'a>) -> Obj<'a> {
+    let o = o
         .num("interned", s.interned)
         .num("dedup_hits", s.dedup_hits)
         .num("op_cache_size", s.op_cache_size)
@@ -982,12 +679,19 @@ pub fn store_stats_json(s: &StoreStats) -> String {
         .num("re_misses", s.re_misses)
         .num("shard_count", s.shards.len() as u64)
         .num("shard_contended", s.contended())
-        .raw("shard_sizes", &num_array(s.shards.iter().map(|sh| sh.size)));
-    obj = match s.op_cache_capacity {
-        Some(cap) => obj.num("op_cache_capacity", cap),
-        None => obj.raw("op_cache_capacity", "null"),
+        .nums("shard_sizes", s.shards.iter().map(|sh| sh.size));
+    let o = match s.op_cache_capacity {
+        Some(cap) => o.num("op_cache_capacity", cap),
+        None => o.null("op_cache_capacity"),
     };
-    obj.raw("per_op", &per_op).finish()
+    o.obj("per_op", |o| {
+        s.per_op
+            .iter()
+            .filter(|op| op.hits + op.misses > 0)
+            .fold(o, |o, op| {
+                o.obj(op.name, |o| o.num("hits", op.hits).num("misses", op.misses))
+            })
+    })
 }
 
 #[cfg(test)]
@@ -1004,7 +708,7 @@ mod tests {
         assert_eq!(h.quantile_us(0.25), 50); // 40 ≤ 50
         assert!(h.quantile_us(0.99) >= 500_000); // overflow bucket
         assert!(h.mean_us() > 0);
-        let json = h.to_json();
+        let json = json::object(|o| h.json(o));
         assert!(json.contains("\"count\":4"), "{json}");
     }
 
@@ -1020,21 +724,22 @@ mod tests {
         let m = Metrics::new();
         m.record(Endpoint::Extract, 200, 120);
         m.record(Endpoint::Extract, 422, 80);
-        m.record_rejected();
-        m.set_queue_depth(3);
-        m.record_accept_failure();
-        m.record_reload_skipped_unchanged(4);
-        m.record_epoll_wakeup();
-        m.record_pipelined_request();
+        m.add(Counter::Rejected, 1);
+        m.set(Counter::QueueDepth, 3);
+        m.add(Counter::AcceptFailures, 1);
+        m.add(Counter::ReloadSkippedUnchanged, 4);
+        m.add(Counter::EpollWakeups, 1);
+        m.add(Counter::PipelinedRequests, 1);
         m.record_batch(1);
         m.record_batch(7);
-        m.record_wrapper_outcome("demo", PageOutcome::Ok, 1);
-        m.record_wrapper_outcome("demo", PageOutcome::Failed, 0);
-        m.record_wrapper_outcome("demo", PageOutcome::Empty, 0);
-        m.record_wrapper_tallies("demo", 3, 1, 0, 3);
-        m.record_wrapper_tallies("idle", 0, 0, 0, 0);
-        m.record_pipeline_run(10, 2, 1);
-        let json = m.render_json(&StoreStats::default());
+        use PageOutcome::{Empty, Failed, Ok};
+        for outcome in [Ok, Failed, Empty, Ok, Ok, Ok, Failed] {
+            m.record_wrapper_outcome("demo", outcome);
+        }
+        m.add(Counter::PipelinePages, 10);
+        m.add(Counter::PipelineUnrouted, 2);
+        m.add(Counter::PipelineReadErrors, 1);
+        let json = m.render_json(&StoreStats::default(), &[("demo", 5)]);
         assert!(json.contains("\"queue_depth\":3"), "{json}");
         assert!(json.contains("\"rejected_total\":1"));
         assert!(json.contains("\"extract\":{\"requests\":2,\"errors\":1"));
@@ -1048,9 +753,8 @@ mod tests {
             json.contains("\"batch_size\":{\"count\":2,\"sum\":8,\"max\":7"),
             "{json}"
         );
-        assert_eq!(m.requests(Endpoint::Extract), 2);
-        // /extract and /pipeline tallies share one per-wrapper row;
-        // untouched wrappers mint no row at all.
+        // One row per wrapper a page touched; untouched wrappers mint no
+        // row at all.
         assert!(
             json.contains(
                 "\"demo\":{\"pages_ok\":4,\"pages_failed\":2,\"results_empty\":1,\
@@ -1065,17 +769,10 @@ mod tests {
             json.contains("\"pipeline\":{\"pages\":10,\"unrouted\":2,\"read_errors\":1}"),
             "{json}"
         );
-        assert_eq!(
-            m.wrapper_counters("demo"),
-            WrapperCounters {
-                pages_ok: 4,
-                pages_failed: 2,
-                results_empty: 1,
-                tuples_emitted: 4
-            }
+        assert!(
+            json.contains("\"engines\":{\"demo\":{\"classes\":5}}"),
+            "{json}"
         );
-        assert_eq!(m.wrapper_counters("missing"), WrapperCounters::default());
-        assert_eq!(m.pipeline_pages(), 10);
     }
 
     #[test]
@@ -1083,17 +780,17 @@ mod tests {
         let m = Metrics::new();
         m.configure_drift(4, 0.5);
         // Window not yet full: no flag even at 100% empty.
-        assert!(!m.record_wrapper_outcome("w", PageOutcome::Empty, 0));
-        assert!(!m.record_wrapper_outcome("w", PageOutcome::Empty, 0));
-        assert!(!m.record_wrapper_outcome("w", PageOutcome::Ok, 1));
+        assert!(!m.record_wrapper_outcome("w", PageOutcome::Empty));
+        assert!(!m.record_wrapper_outcome("w", PageOutcome::Empty));
+        assert!(!m.record_wrapper_outcome("w", PageOutcome::Ok));
         assert_eq!(m.wrapper_health("w"), WrapperHealth::Healthy);
         // Fourth page fills the window at 3/4 empty ≥ 0.5: flag.
-        assert!(m.record_wrapper_outcome("w", PageOutcome::Empty, 0));
+        assert!(m.record_wrapper_outcome("w", PageOutcome::Empty));
         assert_eq!(m.wrapper_health("w"), WrapperHealth::Degraded);
-        assert_eq!(m.drift_flagged(), 1);
+        assert_eq!(m.get(Counter::DriftFlagged), 1);
         // Already flagged: no double count.
-        assert!(!m.record_wrapper_outcome("w", PageOutcome::Empty, 0));
-        assert_eq!(m.drift_flagged(), 1);
+        assert!(!m.record_wrapper_outcome("w", PageOutcome::Empty));
+        assert_eq!(m.get(Counter::DriftFlagged), 1);
         assert_eq!(
             m.unhealthy_wrappers(),
             vec![("w".to_string(), WrapperHealth::Degraded)]
@@ -1104,25 +801,25 @@ mod tests {
     fn drift_flags_on_failure_rate_and_resets_on_reinstall() {
         let m = Metrics::new();
         m.configure_drift(2, 1.0);
-        m.record_wrapper_outcome("w", PageOutcome::Failed, 0);
-        assert!(m.record_wrapper_outcome("w", PageOutcome::Failed, 0));
+        m.record_wrapper_outcome("w", PageOutcome::Failed);
+        assert!(m.record_wrapper_outcome("w", PageOutcome::Failed));
         assert_eq!(m.wrapper_health("w"), WrapperHealth::Degraded);
         m.reset_wrapper_drift("w");
         assert_eq!(m.wrapper_health("w"), WrapperHealth::Healthy);
         assert!(m.unhealthy_wrappers().is_empty());
         // The window was cleared too: one more failure is not enough.
-        assert!(!m.record_wrapper_outcome("w", PageOutcome::Failed, 0));
+        assert!(!m.record_wrapper_outcome("w", PageOutcome::Failed));
     }
 
     #[test]
     fn flagged_health_is_sticky_under_later_successes() {
         let m = Metrics::new();
         m.configure_drift(2, 1.0);
-        m.record_wrapper_outcome("w", PageOutcome::Empty, 0);
-        m.record_wrapper_outcome("w", PageOutcome::Empty, 0);
+        m.record_wrapper_outcome("w", PageOutcome::Empty);
+        m.record_wrapper_outcome("w", PageOutcome::Empty);
         assert_eq!(m.wrapper_health("w"), WrapperHealth::Degraded);
         for _ in 0..8 {
-            m.record_wrapper_outcome("w", PageOutcome::Ok, 1);
+            m.record_wrapper_outcome("w", PageOutcome::Ok);
         }
         assert_eq!(
             m.wrapper_health("w"),
@@ -1132,42 +829,30 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_tallies_feed_drift_window() {
-        let m = Metrics::new();
-        m.configure_drift(4, 0.5);
-        assert!(m.record_wrapper_tallies("w", 1, 0, 100, 1));
-        assert_eq!(m.wrapper_health("w"), WrapperHealth::Degraded);
-    }
-
-    #[test]
     fn drift_disabled_with_zero_window() {
         let m = Metrics::new();
         for _ in 0..100 {
-            m.record_wrapper_outcome("w", PageOutcome::Failed, 0);
+            m.record_wrapper_outcome("w", PageOutcome::Failed);
         }
         assert_eq!(m.wrapper_health("w"), WrapperHealth::Healthy);
-        assert_eq!(m.drift_flagged(), 0);
+        assert_eq!(m.get(Counter::DriftFlagged), 0);
     }
 
     #[test]
     fn health_transitions_and_repair_counters() {
         let m = Metrics::new();
         m.configure_drift(1, 1.0);
-        m.record_wrapper_outcome("w", PageOutcome::Empty, 0);
+        m.record_wrapper_outcome("w", PageOutcome::Empty);
         assert_eq!(
             m.set_wrapper_health("w", WrapperHealth::Repairing),
             WrapperHealth::Degraded
         );
-        m.record_repair_attempted();
-        m.record_repair_failed();
-        m.record_repair_attempted();
-        m.record_repair_succeeded();
-        assert_eq!(m.repairs_attempted(), 2);
-        assert_eq!(m.repairs_succeeded(), 1);
-        assert_eq!(m.repairs_failed(), 1);
+        m.add(Counter::RepairsAttempted, 2);
+        m.add(Counter::RepairsFailed, 1);
+        m.add(Counter::RepairsSucceeded, 1);
         // While Repairing, new bad pages don't re-flag.
-        assert!(!m.record_wrapper_outcome("w", PageOutcome::Empty, 0));
-        assert_eq!(m.drift_flagged(), 1);
+        assert!(!m.record_wrapper_outcome("w", PageOutcome::Empty));
+        assert_eq!(m.get(Counter::DriftFlagged), 1);
     }
 
     #[test]
@@ -1179,7 +864,7 @@ mod tests {
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 536);
         assert_eq!(h.max(), 500);
-        let json = h.to_json();
+        let json = json::object(|o| h.json(o));
         // Two singletons in the first bucket, the oversize one overflows.
         assert!(json.contains("\"buckets\":[2,1,0,0,0,1,0,0,1]"), "{json}");
     }

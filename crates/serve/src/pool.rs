@@ -28,7 +28,6 @@
 
 use crate::epoll::Waker;
 use crate::http::{Request, Response};
-use crate::json::Obj;
 use rextract_faults::fail_point;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -157,12 +156,7 @@ impl Batch {
                 f(item)
             }));
             let resp = verdict.unwrap_or_else(|_| {
-                Response::json(
-                    503,
-                    Obj::new()
-                        .str("error", "worker panicked processing this request")
-                        .finish(),
-                )
+                Response::error(503, "worker panicked processing this request")
             });
             self.respond(idx, resp);
         }

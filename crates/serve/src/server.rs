@@ -46,20 +46,20 @@
 use crate::drift::{run_repair, RepairHub};
 use crate::epoll::{self, Epoll, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::http::{parse_request, Parse, ParseError, Request, Response};
-use crate::json::{str_array, Obj};
-use crate::metrics::{Endpoint, Metrics, PageOutcome, WrapperHealth};
+use crate::metrics::{Counter, Endpoint, Metrics, WrapperHealth};
 use crate::pool::{Batch, Completion, CompletionQueue, JobQueue, WorkItem};
 use crate::queries::{QueryInstallError, QueryStore};
 use crate::registry::{InstallError, LoadReport, Registry, ResolveError};
 use crate::ServeConfig;
 use rextract_automata::Store;
 use rextract_corpus::{run_pipeline, CorpusSource, PageEvent, PageObserver, PipelineConfig};
+use rextract_extraction::json;
 use rextract_extraction::JoinStrategy;
 use rextract_faults::fail_point;
 use rextract_html::tokenize_spanned;
 use rextract_html::tokenizer::tokenize;
 use rextract_wrapper::evaluate_query_with;
-use rextract_wrapper::wrapper::{Wrapper, WrapperError, WrapperScratch};
+use rextract_wrapper::wrapper::{PageOutcome, Wrapper, WrapperError, WrapperScratch};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -114,6 +114,9 @@ struct Ctx {
     metrics: Arc<Metrics>,
     shutdown: Arc<Shutdown>,
     repair: Arc<RepairHub>,
+    /// The one per-page observer `/extract` and `/pipeline` both feed
+    /// (see [`page_observer`]).
+    observer: Arc<PageObserver>,
     keepalive: Duration,
     request_deadline: Duration,
     degraded_window: Duration,
@@ -206,12 +209,14 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
         draining: AtomicBool::new(false),
         waker: Arc::clone(&waker),
     });
+    let repair = Arc::new(RepairHub::new(config.repair_backoff));
     let ctx = Arc::new(Ctx {
         registry: Arc::clone(&registry),
         queries: Arc::clone(&queries),
         metrics: Arc::clone(&metrics),
         shutdown: Arc::clone(&shutdown),
-        repair: Arc::new(RepairHub::new(config.repair_backoff)),
+        observer: page_observer(Arc::clone(&metrics), Arc::clone(&repair)),
+        repair,
         keepalive: config.keepalive_timeout,
         request_deadline: config.request_deadline,
         degraded_window: config.degraded_window,
@@ -219,11 +224,11 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
     });
 
     let pool_size = config.workers.max(1);
-    metrics.set_workers_configured(pool_size);
+    metrics.set(Counter::WorkersConfigured, pool_size as u64);
     let workers: Vec<JoinHandle<()>> = (0..pool_size)
         .map(|i| spawn_worker(i, &queue, &ctx))
         .collect();
-    metrics.set_workers_alive(workers.len());
+    metrics.set(Counter::WorkersAlive, workers.len() as u64);
 
     let supervisor = {
         let queue = Arc::clone(&queue);
@@ -269,9 +274,33 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
 
 /// Fold a directory-scan report into the metrics hub.
 fn record_scan(metrics: &Metrics, report: &LoadReport) {
-    metrics.record_corrupt_artifacts(report.quarantined.len() as u64);
-    metrics.record_io_retries(report.io_retries);
-    metrics.record_reload_skipped_unchanged(report.skipped_unchanged);
+    metrics.add(Counter::CorruptArtifacts, report.quarantined.len() as u64);
+    metrics.add(Counter::IoRetries, report.io_retries);
+    metrics.add(Counter::ReloadSkippedUnchanged, report.skipped_unchanged);
+}
+
+/// The daemon's one per-page observer, built at boot: `/extract` calls
+/// it after each page and `/pipeline` hands it to the corpus pipeline as
+/// [`PipelineConfig::observer`], so both surfaces reach the same tallies,
+/// drift windows and repair evidence one page at a time.
+fn page_observer(metrics: Arc<Metrics>, repair: Arc<RepairHub>) -> Arc<PageObserver> {
+    Arc::new(move |ev: PageEvent<'_>| {
+        if metrics.record_wrapper_outcome(ev.wrapper, ev.outcome) {
+            eprintln!(
+                "rextract-serve: drift flagged on wrapper {:?} (window {}, threshold {:.2}); collecting repair evidence",
+                ev.wrapper,
+                metrics.drift_window(),
+                metrics.drift_threshold(),
+            );
+        }
+        match ev.targets.first() {
+            // Self-labeling: a page the wrapper parses, with the position
+            // it served, is a training sample for a future repair.
+            Some(&target) => repair.record_success(ev.wrapper, ev.tokens, target),
+            // Failing pages are the drift witnesses a repair retrains on.
+            None => repair.record_failure(ev.wrapper, ev.tokens),
+        }
+    })
 }
 
 fn spawn_worker(id: usize, queue: &Arc<JobQueue<Batch>>, ctx: &Arc<Ctx>) -> JoinHandle<()> {
@@ -311,15 +340,15 @@ fn supervisor_loop(
             if ctx.shutdown.draining() {
                 continue; // normal exit: the queue is closing under it
             }
-            ctx.metrics.set_workers_alive(workers.len());
+            ctx.metrics.set(Counter::WorkersAlive, workers.len() as u64);
             ctx.metrics.record_worker_respawn();
             eprintln!(
                 "rextract-serve: worker died (escaped panic); respawning (respawn #{})",
-                ctx.metrics.worker_respawns()
+                ctx.metrics.get(Counter::WorkerRespawns)
             );
             workers.push(spawn_worker(next_id, queue, ctx));
             next_id += 1;
-            ctx.metrics.set_workers_alive(workers.len());
+            ctx.metrics.set(Counter::WorkersAlive, workers.len() as u64);
         }
     }
     // Drain phase: give in-flight batches drain_timeout to finish, then
@@ -327,7 +356,7 @@ fn supervisor_loop(
     let deadline = Instant::now() + drain_timeout;
     loop {
         workers.retain(|w| !w.is_finished());
-        ctx.metrics.set_workers_alive(workers.len());
+        ctx.metrics.set(Counter::WorkersAlive, workers.len() as u64);
         if workers.is_empty() {
             return;
         }
@@ -337,7 +366,7 @@ fn supervisor_loop(
         std::thread::sleep(Duration::from_millis(2));
     }
     ctx.metrics
-        .record_abandoned_connections(workers.len() as u64);
+        .add(Counter::AbandonedConnections, workers.len() as u64);
     eprintln!(
         "rextract-serve: drain deadline ({} ms) passed; abandoning {} wedged connection(s)",
         drain_timeout.as_millis(),
@@ -361,11 +390,11 @@ fn supervise_repair(
         Some((name, handle)) if handle.is_finished() => {
             let healed = handle.join().unwrap_or(false);
             if healed {
-                ctx.metrics.record_repair_succeeded();
+                ctx.metrics.add(Counter::RepairsSucceeded, 1);
                 ctx.metrics.reset_wrapper_drift(&name);
                 ctx.repair.reset(&name);
             } else {
-                ctx.metrics.record_repair_failed();
+                ctx.metrics.add(Counter::RepairsFailed, 1);
                 let quarantined = ctx.repair.exhausted(&name);
                 ctx.metrics.set_wrapper_health(
                     &name,
@@ -404,7 +433,7 @@ fn supervise_repair(
         };
         ctx.metrics
             .set_wrapper_health(&name, WrapperHealth::Repairing);
-        ctx.metrics.record_repair_attempted();
+        ctx.metrics.add(Counter::RepairsAttempted, 1);
         ctx.repair.note_attempt(&name);
         eprintln!(
             "rextract-serve: drift repair of wrapper {name:?} starting (attempt {})",
@@ -428,7 +457,7 @@ fn supervise_repair(
                 // Could not even spawn the thread: count it as a failed
                 // attempt and fall back to Degraded for the next tick.
                 eprintln!("rextract-serve: could not spawn repair thread: {e}");
-                ctx.metrics.record_repair_failed();
+                ctx.metrics.add(Counter::RepairsFailed, 1);
                 ctx.metrics
                     .set_wrapper_health(&name, WrapperHealth::Degraded);
                 return None;
@@ -645,7 +674,7 @@ impl EventLoop {
                 }
             };
             if n > 0 {
-                self.ctx.metrics.record_epoll_wakeup();
+                self.ctx.metrics.add(Counter::EpollWakeups, 1);
             }
             for ev in &events[..n] {
                 let (tok, mask) = (ev.token(), ev.mask());
@@ -681,7 +710,7 @@ impl EventLoop {
             match listener.accept() {
                 Ok((stream, _)) => {
                     if admit().is_err() {
-                        self.ctx.metrics.record_accept_failure();
+                        self.ctx.metrics.add(Counter::AcceptFailures, 1);
                         drop(stream);
                         continue;
                     }
@@ -692,16 +721,16 @@ impl EventLoop {
                     if epoll::set_nonblocking(stream.as_raw_fd()).is_err() {
                         // A blocking socket would wedge the whole loop on
                         // its first read; refuse rather than risk it.
-                        self.ctx.metrics.record_sock_config_failure();
+                        self.ctx.metrics.add(Counter::SockConfigFailures, 1);
                         continue;
                     }
                     if stream.set_nodelay(true).is_err() {
-                        self.ctx.metrics.record_sock_config_failure();
+                        self.ctx.metrics.add(Counter::SockConfigFailures, 1);
                     }
                     let tok = self.next_token;
                     self.next_token += 1;
                     if self.epoll.add(&stream, EPOLLIN | EPOLLRDHUP, tok).is_err() {
-                        self.ctx.metrics.record_accept_failure();
+                        self.ctx.metrics.add(Counter::AcceptFailures, 1);
                         continue;
                     }
                     self.conns.insert(tok, Conn::new(stream));
@@ -711,7 +740,7 @@ impl EventLoop {
                 Err(_) => {
                     // Transient EMFILE/ECONNABORTED must degrade — count
                     // it, return to the loop — never wedge accepting.
-                    self.ctx.metrics.record_accept_failure();
+                    self.ctx.metrics.add(Counter::AcceptFailures, 1);
                     return;
                 }
             }
@@ -784,7 +813,7 @@ impl EventLoop {
                 Parse::Complete(req, used) => {
                     conn.rbuf.drain(..used);
                     if !conn.answers.is_empty() {
-                        self.ctx.metrics.record_pipelined_request();
+                        self.ctx.metrics.add(Counter::PipelinedRequests, 1);
                     }
                     let seq = conn.next_seq;
                     conn.next_seq += 1;
@@ -808,16 +837,10 @@ impl EventLoop {
                 Parse::Partial => break,
                 Parse::Error(e) => {
                     let resp = match e {
-                        ParseError::TooLarge => Response::json(
-                            413,
-                            Obj::new().str("error", "request too large").finish(),
-                        ),
-                        ParseError::Malformed(why) => Response::json(
-                            400,
-                            Obj::new()
-                                .str("error", &format!("malformed request: {why}"))
-                                .finish(),
-                        ),
+                        ParseError::TooLarge => Response::error(413, "request too large"),
+                        ParseError::Malformed(why) => {
+                            Response::error(400, &format!("malformed request: {why}"))
+                        }
                     };
                     let seq = conn.next_seq;
                     conn.next_seq += 1;
@@ -919,12 +942,10 @@ impl EventLoop {
             match self.queue.try_push(batch) {
                 Ok(depth) => {
                     self.ctx.metrics.record_batch(size as u64);
-                    self.ctx.metrics.set_queue_depth(depth);
+                    self.ctx.metrics.set(Counter::QueueDepth, depth as u64);
                 }
                 Err(batch) => {
-                    for _ in 0..batch.len() {
-                        self.ctx.metrics.record_rejected();
-                    }
+                    self.ctx.metrics.add(Counter::Rejected, batch.len() as u64);
                     let cap = self.queue.capacity();
                     batch.fail_all(|_| overload_response(cap).closing());
                 }
@@ -1014,10 +1035,10 @@ fn batch_key(req: &Request) -> Option<String> {
 fn overload_response(queue_capacity: usize) -> Response {
     Response::json(
         503,
-        Obj::new()
-            .str("error", "server overloaded, retry later")
-            .num("queue_capacity", queue_capacity as u64)
-            .finish(),
+        json::object(|o| {
+            o.str("error", "server overloaded, retry later")
+                .num("queue_capacity", queue_capacity as u64)
+        }),
     )
 }
 
@@ -1026,12 +1047,12 @@ fn overload_response(queue_capacity: usize) -> Response {
 /// nonblocking flag on Linux); a short write timeout keeps a stalled
 /// client from stalling the accept sweep.
 fn reject_overloaded(stream: TcpStream, ctx: &Ctx, queue_capacity: usize) {
-    ctx.metrics.record_rejected();
+    ctx.metrics.add(Counter::Rejected, 1);
     if stream
         .set_write_timeout(Some(Duration::from_millis(250)))
         .is_err()
     {
-        ctx.metrics.record_sock_config_failure();
+        ctx.metrics.add(Counter::SockConfigFailures, 1);
     }
     let mut stream = stream;
     let _ = overload_response(queue_capacity).write_to(&mut stream, true);
@@ -1051,8 +1072,8 @@ fn worker_loop(queue: &JobQueue<Batch>, ctx: &Ctx) {
         // thread so the supervisor has something to heal. The unwinding
         // batch aborts its items (connections close, nothing hangs).
         fail_point!("worker.panic.escape");
-        ctx.metrics.set_queue_depth(depth);
-        ctx.metrics.enter_worker();
+        ctx.metrics.set(Counter::QueueDepth, depth as u64);
+        ctx.metrics.add(Counter::InFlight, 1);
         let resolved = batch.wrapper().map(|name| ctx.registry.resolve(Some(name)));
         batch.run(|item| {
             let started = Instant::now();
@@ -1078,7 +1099,7 @@ fn worker_loop(queue: &JobQueue<Batch>, ctx: &Ctx) {
             }
             resp
         });
-        ctx.metrics.exit_worker();
+        ctx.metrics.sub(Counter::InFlight, 1);
     }
 }
 
@@ -1093,14 +1114,7 @@ fn route(
 ) -> (Endpoint, Response) {
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/healthz") => (Endpoint::Healthz, handle_healthz(ctx)),
-        ("GET", "/metrics") => (
-            Endpoint::Metrics,
-            Response::json(
-                200,
-                ctx.metrics
-                    .render_json_with(&Store::stats(), &engines_json(ctx)),
-            ),
-        ),
+        ("GET", "/metrics") => (Endpoint::Metrics, handle_metrics(ctx)),
         ("POST", "/extract") => (
             Endpoint::Extract,
             handle_extract(req, arrived, ctx, scratch),
@@ -1109,12 +1123,9 @@ fn route(
             Endpoint::ListWrappers,
             Response::json(
                 200,
-                Obj::new()
-                    .raw(
-                        "wrappers",
-                        &str_array(ctx.registry.names().iter().map(String::as_str)),
-                    )
-                    .finish(),
+                json::object(|o| {
+                    o.strs("wrappers", ctx.registry.names().iter().map(String::as_str))
+                }),
             ),
         ),
         ("POST", path) if path.strip_prefix("/wrappers/").is_some() => {
@@ -1125,12 +1136,7 @@ fn route(
             Endpoint::ListQueries,
             Response::json(
                 200,
-                Obj::new()
-                    .raw(
-                        "queries",
-                        &str_array(ctx.queries.names().iter().map(String::as_str)),
-                    )
-                    .finish(),
+                json::object(|o| o.strs("queries", ctx.queries.names().iter().map(String::as_str))),
             ),
         ),
         ("POST", path) if path.strip_prefix("/queries/").is_some() => {
@@ -1142,46 +1148,34 @@ fn route(
         ("POST", "/reload") => (Endpoint::Reload, handle_reload(ctx)),
         ("POST", "/shutdown") => (
             Endpoint::Shutdown,
-            Response::json(200, Obj::new().bool("draining", true).finish()).closing(),
+            Response::json(200, json::object(|o| o.bool("draining", true))).closing(),
         ),
         (
             _,
             "/healthz" | "/metrics" | "/extract" | "/wrappers" | "/pipeline" | "/reload"
             | "/shutdown" | "/queries" | "/query",
-        ) => (
-            Endpoint::Other,
-            Response::json(405, Obj::new().str("error", "method not allowed").finish()),
-        ),
+        ) => (Endpoint::Other, Response::error(405, "method not allowed")),
         _ => (
             Endpoint::Other,
-            Response::json(
-                404,
-                Obj::new()
-                    .str("error", &format!("no such endpoint {}", req.path))
-                    .finish(),
-            ),
+            Response::error(404, &format!("no such endpoint {}", req.path)),
         ),
     }
 }
 
-/// Per-wrapper extraction-engine size for `/metrics`: the number of
-/// symbol classes each installed wrapper's extractor scans with.
-fn engines_json(ctx: &Ctx) -> String {
-    let mut out = String::from("{");
-    for (i, (name, wrapper)) in ctx.registry.entries().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let obj = Obj::new().num("classes", wrapper.num_classes() as u64);
-        out.push_str(&format!("{:?}:{}", name, obj.finish()));
-    }
-    out.push('}');
-    out
+/// `GET /metrics`, with each installed wrapper's extraction-engine size
+/// (the number of symbol classes its extractor scans with).
+fn handle_metrics(ctx: &Ctx) -> Response {
+    let entries = ctx.registry.entries();
+    let engines: Vec<(&str, u64)> = entries
+        .iter()
+        .map(|(name, w)| (name.as_str(), w.num_classes() as u64))
+        .collect();
+    Response::json(200, ctx.metrics.render_json(&Store::stats(), &engines))
 }
 
 fn handle_healthz(ctx: &Ctx) -> Response {
-    let configured = ctx.metrics.workers_configured();
-    let alive = ctx.metrics.workers_alive();
+    let configured = ctx.metrics.get(Counter::WorkersConfigured);
+    let alive = ctx.metrics.get(Counter::WorkersAlive);
     let recent_death = ctx
         .metrics
         .last_worker_death_age()
@@ -1192,28 +1186,23 @@ fn handle_healthz(ctx: &Ctx) -> Response {
     } else {
         "ok"
     };
-    let workers = Obj::new()
-        .num("configured", configured as u64)
-        .num("alive", alive as u64)
-        .num("respawns", ctx.metrics.worker_respawns())
-        .finish();
-    let mut drift = String::from("{");
-    for (i, (name, health)) in drifted.iter().enumerate() {
-        if i > 0 {
-            drift.push(',');
-        }
-        drift.push_str(&format!("{:?}:{:?}", name, health.name()));
-    }
-    drift.push('}');
     Response::json(
         200,
-        Obj::new()
-            .str("status", status)
-            .num("wrappers", ctx.registry.len() as u64)
-            .bool("draining", ctx.shutdown.draining())
-            .raw("workers", &workers)
-            .raw("drifted_wrappers", &drift)
-            .finish(),
+        json::object(|o| {
+            o.str("status", status)
+                .num("wrappers", ctx.registry.len() as u64)
+                .bool("draining", ctx.shutdown.draining())
+                .obj("workers", |w| {
+                    w.num("configured", configured)
+                        .num("alive", alive)
+                        .num("respawns", ctx.metrics.get(Counter::WorkerRespawns))
+                })
+                .obj("drifted_wrappers", |o| {
+                    drifted
+                        .iter()
+                        .fold(o, |o, (name, health)| o.str(name, health.name()))
+                })
+        }),
     )
 }
 
@@ -1221,39 +1210,35 @@ fn handle_healthz(ctx: &Ctx) -> Response {
 ///
 /// [`ServeConfig::request_deadline`]: crate::ServeConfig::request_deadline
 fn deadline_response(ctx: &Ctx) -> Response {
-    ctx.metrics.record_deadline_exceeded();
+    ctx.metrics.add(Counter::DeadlineExceeded, 1);
     Response::json(
         503,
-        Obj::new()
-            .str("error", "deadline exceeded")
-            .num("deadline_ms", ctx.request_deadline.as_millis() as u64)
-            .finish(),
+        json::object(|o| {
+            o.str("error", "deadline exceeded")
+                .num("deadline_ms", ctx.request_deadline.as_millis() as u64)
+        }),
     )
 }
 
 /// The error body for a failed wrapper selection (unknown name, or no
 /// name outside single-tenant deployments).
 fn resolve_error_response(err: &ResolveError, ctx: &Ctx) -> Response {
-    let wrappers = str_array(ctx.registry.names().iter().map(String::as_str));
-    match err {
-        ResolveError::Unknown(name) => Response::json(
-            404,
-            Obj::new()
-                .str("error", &format!("unknown wrapper {name:?}"))
-                .raw("wrappers", &wrappers)
-                .finish(),
-        ),
-        ResolveError::NoSelection => Response::json(
+    let (status, error) = match err {
+        ResolveError::Unknown(name) => (404, format!("unknown wrapper {name:?}")),
+        ResolveError::NoSelection => (
             400,
-            Obj::new()
-                .str(
-                    "error",
-                    "no wrapper selected: pass ?wrapper=NAME (required unless exactly one is installed)",
-                )
-                .raw("wrappers", &wrappers)
-                .finish(),
+            "no wrapper selected: pass ?wrapper=NAME (required unless exactly one is installed)"
+                .to_string(),
         ),
-    }
+    };
+    let names = ctx.registry.names();
+    Response::json(
+        status,
+        json::object(|o| {
+            o.str("error", &error)
+                .strs("wrappers", names.iter().map(String::as_str))
+        }),
+    )
 }
 
 /// `POST /extract?wrapper=NAME` outside a coalesced batch: resolve the
@@ -1296,21 +1281,16 @@ fn handle_extract_resolved(
         if health != WrapperHealth::Healthy {
             return Response::json(
                 503,
-                Obj::new()
-                    .str("wrapper", name)
-                    .str("error", "wrapper drifted; refusing best-effort extraction")
-                    .str("health", health.name())
-                    .finish(),
+                json::object(|o| {
+                    o.str("wrapper", name)
+                        .str("error", "wrapper drifted; refusing best-effort extraction")
+                        .str("health", health.name())
+                }),
             );
         }
     }
     if req.body.is_empty() {
-        return Response::json(
-            400,
-            Obj::new()
-                .str("error", "empty body: POST the HTML page")
-                .finish(),
-        );
+        return Response::error(400, "empty body: POST the HTML page");
     }
     let html = req.body_utf8();
     let started = Instant::now();
@@ -1322,42 +1302,27 @@ fn handle_extract_resolved(
     let extract_started = Instant::now();
     let result = wrapper.extract_target_with(&tokens, scratch);
     let extract_us = extract_started.elapsed().as_micros() as u64;
-    let outcome = match &result {
-        Ok(_) => PageOutcome::Ok,
-        Err(WrapperError::Extract(rextract_extraction::extract::ExtractFailure::NoMatch)) => {
-            PageOutcome::Empty
-        }
-        Err(_) => PageOutcome::Failed,
-    };
-    if ctx
-        .metrics
-        .record_wrapper_outcome(name, outcome, u64::from(result.is_ok()))
-    {
-        eprintln!(
-            "rextract-serve: drift flagged on wrapper {name:?} (window {}, threshold {:.2}); collecting repair evidence",
-            ctx.metrics.drift_window(),
-            ctx.metrics.drift_threshold(),
-        );
-    }
-    match result {
-        Ok(idx) => {
-            let tag = tokens[idx].tag_name().unwrap_or("#text").to_string();
-            let body = Obj::new()
-                .str("wrapper", name)
-                .num("wrapper_revision", u64::from(wrapper.revision()))
-                .num("position", idx as u64)
-                .raw("positions", &crate::json::num_array([idx as u64]))
-                .str("tag", &tag)
-                .str("token", &tokens[idx].to_string())
-                .num("tokens", tokens.len() as u64)
-                .num("tokenize_us", tokenize_us)
-                .num("extract_us", extract_us)
-                .finish();
-            // Self-labeling: a page the wrapper parses, with the position
-            // it served, is a training sample for a future repair.
-            ctx.repair.record_success(name, &tokens, idx);
-            Response::json(200, body)
-        }
+    (ctx.observer)(PageEvent {
+        wrapper: name,
+        tokens: &tokens,
+        outcome: PageOutcome::of(&result),
+        targets: result.as_ref().map_or(&[], std::slice::from_ref),
+    });
+    let (status, body) = match result {
+        Ok(idx) => (
+            200,
+            json::object(|o| {
+                o.str("wrapper", name)
+                    .num("wrapper_revision", u64::from(wrapper.revision()))
+                    .num("position", idx as u64)
+                    .nums("positions", [idx as u64])
+                    .str("tag", tokens[idx].tag_name().unwrap_or("#text"))
+                    .str("token", &tokens[idx].to_string())
+                    .num("tokens", tokens.len() as u64)
+                    .num("tokenize_us", tokenize_us)
+                    .num("extract_us", extract_us)
+            }),
+        ),
         Err(WrapperError::Extract(failure)) => {
             use rextract_extraction::extract::ExtractFailure;
             let (why, positions) = match failure {
@@ -1366,29 +1331,22 @@ fn handle_extract_resolved(
                 }
                 ExtractFailure::AmbiguousMatch(p) => ("ambiguous: multiple positions match", p),
             };
-            let body = Obj::new()
-                .str("wrapper", name)
-                .str("error", why)
-                .raw(
-                    "positions",
-                    &crate::json::num_array(positions.iter().map(|&p| p as u64)),
-                )
-                .num("tokens", tokens.len() as u64)
-                .num("tokenize_us", tokenize_us)
-                .num("extract_us", extract_us)
-                .finish();
-            // Failing pages are the drift witnesses a repair retrains on.
-            ctx.repair.record_failure(name, tokens);
-            Response::json(422, body)
+            let body = json::object(|o| {
+                o.str("wrapper", name)
+                    .str("error", why)
+                    .nums("positions", positions.iter().map(|&p| p as u64))
+                    .num("tokens", tokens.len() as u64)
+                    .num("tokenize_us", tokenize_us)
+                    .num("extract_us", extract_us)
+            });
+            (422, body)
         }
-        Err(e) => Response::json(
+        Err(e) => (
             422,
-            Obj::new()
-                .str("wrapper", name)
-                .str("error", &e.to_string())
-                .finish(),
+            json::object(|o| o.str("wrapper", name).str("error", &e.to_string())),
         ),
-    }
+    };
+    Response::json(status, body)
 }
 
 /// How many corpus worker threads one `/pipeline` request may spawn.
@@ -1405,57 +1363,26 @@ const PIPELINE_MAX_WORKERS: usize = 4;
 fn handle_pipeline(req: &Request, ctx: &Ctx) -> Response {
     let body = req.body_utf8();
     if body.trim().is_empty() {
-        return Response::json(
+        return Response::error(
             400,
-            Obj::new()
-                .str(
-                    "error",
-                    "empty body: POST a newline-delimited manifest of page paths",
-                )
-                .finish(),
+            "empty body: POST a newline-delimited manifest of page paths",
         );
     }
     let wrappers = ctx.registry.entries();
     if wrappers.is_empty() {
-        return Response::json(
-            409,
-            Obj::new()
-                .str(
-                    "error",
-                    "no wrappers installed; train and install one first",
-                )
-                .finish(),
-        );
+        return Response::error(409, "no wrappers installed; train and install one first");
     }
     let workers = req
         .query_param("workers")
         .and_then(|w| w.parse::<usize>().ok())
         .unwrap_or(1)
         .clamp(1, PIPELINE_MAX_WORKERS);
-    // Self-labeling: every page the pipeline routes becomes repair
-    // evidence for its wrapper — successes are future training samples,
-    // failures are the drift witnesses — exactly as `/extract` records.
-    let repair = Arc::clone(&ctx.repair);
-    let observer: Arc<PageObserver> = Arc::new(move |ev: PageEvent<'_>| match ev {
-        PageEvent::Extracted {
-            wrapper,
-            tokens,
-            targets,
-        } => {
-            if let Some(&target) = targets.first() {
-                repair.record_success(wrapper, tokens, target);
-            }
-        }
-        PageEvent::Failed {
-            wrapper, tokens, ..
-        } => {
-            repair.record_failure(wrapper, tokens.to_vec());
-        }
-    });
     let cfg = PipelineConfig {
         workers,
         wrapper_override: req.query_param("wrapper").map(str::to_string),
-        observer: Some(observer),
+        // Every routed page reaches the same tallies, drift window and
+        // repair evidence as an `/extract` page, one page at a time.
+        observer: Some(Arc::clone(&ctx.observer)),
         ..PipelineConfig::new(CorpusSource::Paths(
             body.lines()
                 .map(str::trim)
@@ -1467,24 +1394,11 @@ fn handle_pipeline(req: &Request, ctx: &Ctx) -> Response {
     let mut out = Vec::new();
     match run_pipeline(&cfg, wrappers, &mut out, None) {
         Ok(report) => {
-            for (name, t) in &report.per_wrapper {
-                if ctx.metrics.record_wrapper_tallies(
-                    name,
-                    t.pages_ok,
-                    t.pages_failed,
-                    t.results_empty,
-                    t.tuples_emitted,
-                ) {
-                    eprintln!(
-                        "rextract-serve: drift flagged on wrapper {name:?} by pipeline traffic"
-                    );
-                }
-            }
-            ctx.metrics.record_pipeline_run(
-                report.pages_total,
-                report.pages_unrouted,
-                report.read_errors,
-            );
+            ctx.metrics.add(Counter::PipelinePages, report.pages_total);
+            ctx.metrics
+                .add(Counter::PipelineUnrouted, report.pages_unrouted);
+            ctx.metrics
+                .add(Counter::PipelineReadErrors, report.read_errors);
             Response {
                 status: 200,
                 content_type: "application/x-ndjson",
@@ -1492,7 +1406,7 @@ fn handle_pipeline(req: &Request, ctx: &Ctx) -> Response {
                 close: false,
             }
         }
-        Err(e) => Response::json(400, Obj::new().str("error", &e.to_string()).finish()),
+        Err(e) => Response::error(400, &e.to_string()),
     }
 }
 
@@ -1500,12 +1414,7 @@ fn handle_pipeline(req: &Request, ctx: &Ctx) -> Response {
 fn handle_install(name: &str, req: &Request, ctx: &Ctx) -> Response {
     let artifact = req.body_utf8();
     if artifact.is_empty() {
-        return Response::json(
-            400,
-            Obj::new()
-                .str("error", "empty body: POST the wrapper artifact")
-                .finish(),
-        );
+        return Response::error(400, "empty body: POST the wrapper artifact");
     }
     match ctx.registry.install(name, &artifact) {
         Ok(wrapper) => {
@@ -1515,19 +1424,19 @@ fn handle_install(name: &str, req: &Request, ctx: &Ctx) -> Response {
             ctx.repair.reset(name);
             Response::json(
                 201,
-                Obj::new()
-                    .str("installed", name)
-                    .num("revision", u64::from(wrapper.revision()))
-                    .bool("maximized", wrapper.is_maximized())
-                    .str("expr", &wrapper.expr().to_text())
-                    .num("wrappers", ctx.registry.len() as u64)
-                    .finish(),
+                json::object(|o| {
+                    o.str("installed", name)
+                        .num("revision", u64::from(wrapper.revision()))
+                        .bool("maximized", wrapper.is_maximized())
+                        .str("expr", &wrapper.expr().to_text())
+                        .num("wrappers", ctx.registry.len() as u64)
+                }),
             )
         }
         // The client sent a bad artifact vs. the server failed to persist
         // a good one: different status, different party to page.
-        Err(InstallError::Invalid(e)) => Response::json(400, Obj::new().str("error", &e).finish()),
-        Err(InstallError::Io(e)) => Response::json(500, Obj::new().str("error", &e).finish()),
+        Err(InstallError::Invalid(e)) => Response::error(400, &e),
+        Err(InstallError::Io(e)) => Response::error(500, &e),
     }
 }
 
@@ -1538,30 +1447,20 @@ fn handle_install(name: &str, req: &Request, ctx: &Ctx) -> Response {
 fn handle_install_query(name: &str, req: &Request, ctx: &Ctx) -> Response {
     let text = req.body_utf8();
     if text.trim().is_empty() {
-        return Response::json(
-            400,
-            Obj::new()
-                .str("error", "empty body: POST the query definition JSON")
-                .finish(),
-        );
+        return Response::error(400, "empty body: POST the query definition JSON");
     }
     match ctx.queries.install(name, &text) {
         Ok(def) => Response::json(
             201,
-            Obj::new()
-                .str("installed", name)
-                .num("sources", def.sources.len() as u64)
-                .raw(
-                    "vars",
-                    &str_array(def.sources.iter().map(|s| s.var.as_str())),
-                )
-                .num("queries", ctx.queries.len() as u64)
-                .finish(),
+            json::object(|o| {
+                o.str("installed", name)
+                    .num("sources", def.sources.len() as u64)
+                    .strs("vars", def.sources.iter().map(|s| s.var.as_str()))
+                    .num("queries", ctx.queries.len() as u64)
+            }),
         ),
-        Err(QueryInstallError::Invalid(e)) => {
-            Response::json(400, Obj::new().str("error", &e).finish())
-        }
-        Err(QueryInstallError::Io(e)) => Response::json(500, Obj::new().str("error", &e).finish()),
+        Err(QueryInstallError::Invalid(e)) => Response::error(400, &e),
+        Err(QueryInstallError::Io(e)) => Response::error(500, &e),
     }
 }
 
@@ -1573,48 +1472,28 @@ fn handle_install_query(name: &str, req: &Request, ctx: &Ctx) -> Response {
 /// provenance. Strategies render byte-identically (canonical relations),
 /// so `?strategy=nested-loop` doubles as the sort-merge oracle check.
 fn handle_query(req: &Request, ctx: &Ctx, scratch: &mut WrapperScratch) -> Response {
-    let installed = || str_array(ctx.queries.names().iter().map(String::as_str));
+    let installed = |error: &str| {
+        let names = ctx.queries.names();
+        json::object(|o| {
+            o.str("error", error)
+                .strs("queries", names.iter().map(String::as_str))
+        })
+    };
     let Some(name) = req.query_param("query") else {
-        return Response::json(
-            400,
-            Obj::new()
-                .str("error", "no query selected: pass ?query=NAME")
-                .raw("queries", &installed())
-                .finish(),
-        );
+        return Response::json(400, installed("no query selected: pass ?query=NAME"));
     };
     let Some(def) = ctx.queries.get(name) else {
-        return Response::json(
-            404,
-            Obj::new()
-                .str("error", &format!("unknown query {name:?}"))
-                .raw("queries", &installed())
-                .finish(),
-        );
+        return Response::json(404, installed(&format!("unknown query {name:?}")));
     };
     if req.body.is_empty() {
-        return Response::json(
-            400,
-            Obj::new()
-                .str("error", "empty body: POST the HTML page")
-                .finish(),
-        );
+        return Response::error(400, "empty body: POST the HTML page");
     }
     let strategy_name = req.query_param("strategy").unwrap_or("sort-merge");
-    let strategy = match strategy_name {
-        "sort-merge" => JoinStrategy::SortMerge,
-        "nested-loop" => JoinStrategy::NestedLoop,
-        other => {
-            return Response::json(
-                400,
-                Obj::new()
-                    .str(
-                        "error",
-                        &format!("unknown strategy {other:?} (want sort-merge or nested-loop)"),
-                    )
-                    .finish(),
-            )
-        }
+    let Some(strategy) = JoinStrategy::parse(strategy_name) else {
+        return Response::error(
+            400,
+            &format!("unknown strategy {strategy_name:?} (want sort-merge or nested-loop)"),
+        );
     };
     let html = req.body_utf8();
     let started = Instant::now();
@@ -1625,50 +1504,41 @@ fn handle_query(req: &Request, ctx: &Ctx, scratch: &mut WrapperScratch) -> Respo
     match evaluate_query_with(&def, &tokens, &lookup, strategy, scratch) {
         Ok(rel) => {
             ctx.metrics.record_query(name, Some(rel.len() as u64));
-            let mut records = String::from("[");
-            for (i, row) in rel.rows().iter().enumerate() {
-                if i > 0 {
-                    records.push(',');
-                }
-                let mut rec = Obj::new();
-                for (var, span) in rel.vars().iter().zip(row) {
-                    // Token-index span → byte extent on the posted page.
-                    let lo = byte_spans[span.start].0;
-                    let hi = byte_spans[span.end - 1].1;
-                    rec = rec.raw(
-                        var,
-                        &Obj::new()
-                            .num("token", span.start as u64)
-                            .num("start", lo as u64)
-                            .num("end", hi as u64)
-                            .str("text", html[lo..hi].trim())
-                            .finish(),
-                    );
-                }
-                records.push_str(&rec.finish());
-            }
-            records.push(']');
             Response::json(
                 200,
-                Obj::new()
-                    .str("query", name)
-                    .str("strategy", strategy_name)
-                    .raw("vars", &str_array(rel.vars().iter().map(String::as_str)))
-                    .num("rows", rel.len() as u64)
-                    .raw("records", &records)
-                    .num("tokens", tokens.len() as u64)
-                    .num("eval_us", started.elapsed().as_micros() as u64)
-                    .finish(),
+                json::object(|o| {
+                    o.str("query", name)
+                        .str("strategy", strategy.name())
+                        .strs("vars", rel.vars().iter().map(String::as_str))
+                        .num("rows", rel.len() as u64)
+                        .arr("records", |a| {
+                            rel.rows().iter().fold(a, |a, row| {
+                                a.obj(|o| {
+                                    rel.vars().iter().zip(row).fold(o, |o, (var, span)| {
+                                        // Token-index span → byte extent on
+                                        // the posted page.
+                                        let lo = byte_spans[span.start].0;
+                                        let hi = byte_spans[span.end - 1].1;
+                                        o.obj(var, |o| {
+                                            o.num("token", span.start as u64)
+                                                .num("start", lo as u64)
+                                                .num("end", hi as u64)
+                                                .str("text", html[lo..hi].trim())
+                                        })
+                                    })
+                                })
+                            })
+                        })
+                        .num("tokens", tokens.len() as u64)
+                        .num("eval_us", started.elapsed().as_micros() as u64)
+                }),
             )
         }
         Err(e) => {
             ctx.metrics.record_query(name, None);
             Response::json(
                 422,
-                Obj::new()
-                    .str("query", name)
-                    .str("error", &e.to_string())
-                    .finish(),
+                json::object(|o| o.str("query", name).str("error", &e.to_string())),
             )
         }
     }
@@ -1677,41 +1547,26 @@ fn handle_query(req: &Request, ctx: &Ctx, scratch: &mut WrapperScratch) -> Respo
 /// `POST /reload`: rescan the wrapper directory.
 fn handle_reload(ctx: &Ctx) -> Response {
     if ctx.registry.dir().is_none() {
-        return Response::json(
-            400,
-            Obj::new()
-                .str("error", "no wrapper directory configured (--wrapper-dir)")
-                .finish(),
-        );
+        return Response::error(400, "no wrapper directory configured (--wrapper-dir)");
     }
     match ctx.registry.load_dir() {
         Ok(report) => {
             record_scan(&ctx.metrics, &report);
-            let mut errors = String::from("[");
-            for (i, (file, err)) in report.errors.iter().enumerate() {
-                if i > 0 {
-                    errors.push(',');
-                }
-                errors.push_str(&Obj::new().str("file", file).str("error", err).finish());
-            }
-            errors.push(']');
             Response::json(
                 200,
-                Obj::new()
-                    .raw(
-                        "loaded",
-                        &str_array(report.loaded.iter().map(String::as_str)),
-                    )
-                    .raw("errors", &errors)
-                    .raw(
-                        "quarantined",
-                        &str_array(report.quarantined.iter().map(String::as_str)),
-                    )
-                    .num("skipped_unchanged", report.skipped_unchanged)
-                    .num("wrappers", ctx.registry.len() as u64)
-                    .finish(),
+                json::object(|o| {
+                    o.strs("loaded", report.loaded.iter().map(String::as_str))
+                        .arr("errors", |a| {
+                            report.errors.iter().fold(a, |a, (file, err)| {
+                                a.obj(|o| o.str("file", file).str("error", err))
+                            })
+                        })
+                        .strs("quarantined", report.quarantined.iter().map(String::as_str))
+                        .num("skipped_unchanged", report.skipped_unchanged)
+                        .num("wrappers", ctx.registry.len() as u64)
+                }),
             )
         }
-        Err(e) => Response::json(400, Obj::new().str("error", &e.to_string()).finish()),
+        Err(e) => Response::error(400, &e.to_string()),
     }
 }

@@ -8,115 +8,20 @@
 //! mutex and clears the registry on entry and (via drop guard) on exit.
 #![cfg(feature = "failpoints")]
 
+mod common;
+
+use common::*;
 use rextract_faults as faults;
 use rextract_html::tokenizer::tokenize;
 use rextract_serve::{serve, ServeConfig};
-use rextract_wrapper::site::{PageStyle, SiteConfig, SiteGenerator};
-use rextract_wrapper::wrapper::{TrainPage, Wrapper, WrapperConfig};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use rextract_wrapper::site::SiteGenerator;
+use rextract_wrapper::wrapper::Wrapper;
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-// ----- serialization over the global failpoint registry ----------------------
-
-struct FaultGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        faults::clear_all();
-    }
-}
-
-fn arm_faults() -> FaultGuard {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let guard = match LOCK.get_or_init(|| Mutex::new(())).lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
-    faults::clear_all();
-    FaultGuard(guard)
-}
-
-// ----- tolerant HTTP client --------------------------------------------------
-//
-// Under injected faults a connection may be killed mid-exchange; the
-// client must report that as None, not panic.
-
-fn try_request(addr: SocketAddr, method: &str, path: &str, body: &str) -> Option<(u16, String)> {
-    let mut stream = TcpStream::connect(addr).ok()?;
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .ok()?;
-    let msg = format!(
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(msg.as_bytes()).ok()?;
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).ok()?;
-    let status: u16 = status_line.split_whitespace().nth(1)?.parse().ok()?;
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).ok()?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().ok()?;
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    std::io::Read::read_exact(&mut reader, &mut body).ok()?;
-    Some((status, String::from_utf8_lossy(&body).into_owned()))
-}
-
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    try_request(addr, method, path, body).expect("request failed")
-}
-
-fn json_num(body: &str, field: &str) -> Option<u64> {
-    let key = format!("\"{field}\":");
-    let at = body.find(&key)? + key.len();
-    let rest = &body[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn poll_until(mut f: impl FnMut() -> bool, timeout: Duration) -> bool {
-    let deadline = Instant::now() + timeout;
-    loop {
-        if f() {
-            return true;
-        }
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
-
 // ----- fixtures --------------------------------------------------------------
-
-fn trained_artifact(seed: u64) -> (String, SiteGenerator) {
-    let mut g = SiteGenerator::new(SiteConfig {
-        seed,
-        ..SiteConfig::default()
-    });
-    let pages = vec![
-        TrainPage::from(&g.page_with_style(PageStyle::Plain)),
-        TrainPage::from(&g.page_with_style(PageStyle::TableEmbedded)),
-        TrainPage::from(&g.page_with_style(PageStyle::Busy)),
-    ];
-    let w = Wrapper::train(&pages, WrapperConfig::default()).unwrap();
-    (w.export(), g)
-}
 
 /// A page the artifact's wrapper extracts cleanly, plus the expected
 /// position — the ground truth every post-fault extract is checked
@@ -302,29 +207,6 @@ fn panic_storm_is_healed_by_the_supervisor() {
 
     request(addr, "POST", "/shutdown", "");
     handle.join();
-}
-
-/// Read one HTTP response off an already-open reader (pipelined
-/// connections carry several back to back).
-fn read_response(reader: &mut BufReader<TcpStream>) -> Option<(u16, String)> {
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).ok()?;
-    let status: u16 = status_line.split_whitespace().nth(1)?.parse().ok()?;
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).ok()?;
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().ok()?;
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    std::io::Read::read_exact(reader, &mut body).ok()?;
-    Some((status, String::from_utf8_lossy(&body).into_owned()))
 }
 
 /// A worker panic mid-batch costs exactly the in-flight document: that
@@ -600,6 +482,9 @@ fn drain_deadline_abandons_wedged_connections() {
         waited < Duration::from_millis(1200),
         "join took {waited:?}; drain deadline did not bite"
     );
-    assert_eq!(metrics.abandoned_connections(), 1);
+    assert_eq!(
+        metrics.get(rextract_serve::Counter::AbandonedConnections),
+        1
+    );
     wedged.join().unwrap();
 }

@@ -3,87 +3,50 @@
 //! sustain concurrent clients, exercise backpressure, and shut down
 //! gracefully.
 
+mod common;
+
+use common::*;
+use rextract_extraction::json::JsonValue;
 use rextract_learn::perturb::Perturber;
 use rextract_serve::{serve, ServeConfig};
 use rextract_wrapper::site::{PageStyle, SiteConfig, SiteGenerator};
-use rextract_wrapper::wrapper::{TrainPage, Wrapper, WrapperConfig};
+use rextract_wrapper::wrapper::Wrapper;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-// ----- tiny HTTP client ------------------------------------------------------
-
-fn send_request(stream: &mut TcpStream, method: &str, path: &str, body: &str, close: bool) {
-    let conn = if close { "close" } else { "keep-alive" };
-    let msg = format!(
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: {conn}\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(msg.as_bytes()).expect("send request");
+/// `GET path`, parsed as one JSON document.
+fn get_json(addr: SocketAddr, path: &str) -> JsonValue {
+    let (status, body) = request(addr, "GET", path, "");
+    assert_eq!(status, 200, "{body}");
+    JsonValue::parse(&body).unwrap_or_else(|e| panic!("{path}: {e}: {body}"))
 }
 
-fn read_response(reader: &mut impl BufRead) -> (u16, String) {
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).expect("status line");
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or_else(|| panic!("bad status line {status_line:?}"));
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("header line");
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().expect("content-length");
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    reader.read_exact(&mut body).expect("body");
-    (status, String::from_utf8_lossy(&body).into_owned())
+/// The value at `path` (object keys) under `v`.
+fn at<'v>(v: &'v JsonValue, path: &[&str]) -> &'v JsonValue {
+    path.iter().fold(v, |v, k| {
+        v.get(k).unwrap_or_else(|| panic!("no {k:?} in {v:?}"))
+    })
 }
 
-/// One-shot request on a fresh connection.
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    send_request(&mut stream, method, path, body, true);
-    let mut reader = BufReader::new(stream);
-    read_response(&mut reader)
+fn num_at(v: &JsonValue, path: &[&str]) -> f64 {
+    at(v, path)
+        .as_num()
+        .unwrap_or_else(|| panic!("{path:?} is not a number"))
 }
 
-/// Extract `"field":value` (number) from a flat JSON body.
-fn json_num(body: &str, field: &str) -> Option<u64> {
-    let key = format!("\"{field}\":");
-    let at = body.find(&key)? + key.len();
-    let rest = &body[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The keys of the object at `path`, in document order, space-separated.
+fn keys_at(v: &JsonValue, path: &[&str]) -> String {
+    let obj = at(v, path)
+        .as_obj()
+        .unwrap_or_else(|| panic!("{path:?} is not an object"));
+    obj.iter()
+        .map(|(k, _)| k.as_str())
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 // ----- fixtures --------------------------------------------------------------
-
-fn trained_artifact(seed: u64) -> (String, SiteGenerator) {
-    let mut g = SiteGenerator::new(SiteConfig {
-        seed,
-        ..SiteConfig::default()
-    });
-    let pages = vec![
-        TrainPage::from(&g.page_with_style(PageStyle::Plain)),
-        TrainPage::from(&g.page_with_style(PageStyle::TableEmbedded)),
-        TrainPage::from(&g.page_with_style(PageStyle::Busy)),
-    ];
-    let w = Wrapper::train(&pages, WrapperConfig::default()).unwrap();
-    (w.export(), g)
-}
 
 fn boot(cfg: ServeConfig) -> rextract_serve::ServerHandle {
     serve(cfg).expect("daemon boots")
@@ -289,9 +252,9 @@ fn backpressure_rejects_with_503_when_queue_full() {
     let mut held = TcpStream::connect(addr).unwrap();
     held.set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
-    send_request(&mut held, "GET", "/healthz", "", false);
+    send_request(&mut held, "GET", "/healthz", "", false).unwrap();
     let mut held_reader = BufReader::new(held.try_clone().unwrap());
-    let (status, _) = read_response(&mut held_reader);
+    let (status, _) = read_response(&mut held_reader).expect("response");
     assert_eq!(status, 200);
     // The worker is now parked on this connection awaiting request #2.
 
@@ -348,7 +311,7 @@ fn graceful_shutdown_drains_admitted_work() {
         .map(|_| {
             let mut s = TcpStream::connect(addr).unwrap();
             s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-            send_request(&mut s, "POST", "/extract?wrapper=d", &html, true);
+            send_request(&mut s, "POST", "/extract?wrapper=d", &html, true).unwrap();
             BufReader::new(s)
         })
         .collect();
@@ -360,7 +323,7 @@ fn graceful_shutdown_drains_admitted_work() {
     for reader in &mut streams {
         // Drain semantics: every admitted connection gets a real response;
         // none may hang or be dropped.
-        let (status, _) = read_response(reader);
+        let (status, _) = read_response(reader).expect("response");
         assert!(status == 200 || status == 422, "status {status}");
         answered += 1;
     }
@@ -445,18 +408,18 @@ fn pipelined_requests_answered_in_order() {
     stream.write_all(msg.as_bytes()).expect("pipelined write");
     let mut reader = BufReader::new(stream);
 
-    let (s1, b1) = read_response(&mut reader);
+    let (s1, b1) = read_response(&mut reader).expect("response");
     assert_eq!(s1, 200, "{b1}");
     assert!(b1.contains("\"status\""), "{b1}");
 
-    let (s2, b2) = read_response(&mut reader);
+    let (s2, b2) = read_response(&mut reader).expect("response");
     assert_eq!(s2, 200, "{b2}");
     assert_eq!(json_num(&b2, "position"), Some(want), "{b2}");
 
-    let (s3, b3) = read_response(&mut reader);
+    let (s3, b3) = read_response(&mut reader).expect("response");
     assert_eq!(s3, 404, "{b3}");
 
-    let (s4, b4) = read_response(&mut reader);
+    let (s4, b4) = read_response(&mut reader).expect("response");
     assert_eq!(s4, 200, "{b4}");
     assert!(
         json_num(&b4, "pipelined_requests").is_some_and(|n| n >= 1),
@@ -678,4 +641,126 @@ fn query_endpoint_joins_sources_with_strategy_agreement() {
     let (status, _) = request(addr, "POST", "/shutdown", "");
     assert_eq!(status, 200);
     handle.join();
+}
+
+#[test]
+fn metrics_and_healthz_bodies_have_their_full_key_lists() {
+    let handle = boot(test_config());
+    let addr = handle.addr();
+    let (artifact, mut g) = trained_artifact(99);
+    assert_eq!(request(addr, "POST", "/wrappers/search", &artifact).0, 201);
+    let (status, body) = request(addr, "POST", "/extract?wrapper=search", &g.page().html());
+    assert_eq!(status, 200, "{body}");
+
+    let m = get_json(addr, "/metrics");
+    let top = "uptime_ms queue_depth in_flight rejected_total workers corrupt_artifacts \
+        io_retries reload_skipped_unchanged accept_failures deadline_exceeded \
+        abandoned_connections sock_config_failures epoll_wakeups pipelined_requests \
+        batches_dispatched batch_size latency_bucket_bounds_us endpoints wrappers queries \
+        drift pipeline engines store";
+    let failpoints = if cfg!(feature = "failpoints") {
+        " failpoints"
+    } else {
+        ""
+    };
+    assert_eq!(keys_at(&m, &[]), format!("{top}{failpoints}"));
+    let nested = [
+        (&["workers"][..], "configured alive respawns"),
+        (
+            &["drift"],
+            "window threshold flagged repairs_attempted repairs_succeeded repairs_failed",
+        ),
+        (&["pipeline"], "pages unrouted read_errors"),
+        (&["batch_size"], "count sum max bounds buckets"),
+        (&["endpoints", "extract"], "requests errors latency"),
+        (
+            &["endpoints", "extract", "latency"],
+            "count mean_us p50_us p90_us p99_us buckets",
+        ),
+        (
+            &["wrappers", "search"],
+            "pages_ok pages_failed results_empty tuples_emitted health",
+        ),
+    ];
+    for (path, keys) in nested {
+        assert_eq!(keys_at(&m, path), keys, "{path:?}");
+    }
+    assert_eq!(at(&m, &["endpoints"]).as_obj().unwrap().len(), 12);
+    // The worker rendering this body is itself in flight.
+    assert!(num_at(&m, &["in_flight"]) >= 1.0);
+    assert_eq!(num_at(&m, &["sock_config_failures"]), 0.0);
+    assert_eq!(num_at(&m, &["drift", "threshold"]), 0.9);
+    assert!(num_at(&m, &["engines", "search", "classes"]) > 0.0);
+    assert_eq!(num_at(&m, &["wrappers", "search", "pages_ok"]), 1.0);
+
+    let h = get_json(addr, "/healthz");
+    assert_eq!(
+        keys_at(&h, &[]),
+        "status wrappers draining workers drifted_wrappers"
+    );
+    assert_eq!(keys_at(&h, &["workers"]), "configured alive respawns");
+    assert_eq!(at(&h, &["status"]).as_str(), Some("ok"));
+
+    request(addr, "POST", "/shutdown", "");
+    handle.join();
+}
+
+#[test]
+fn pipeline_pages_reach_the_drift_window_one_at_a_time() {
+    // Default drift settings: flag at a 90% empty or failed rate over
+    // the last 32 pages.
+    let handle = boot(test_config());
+    let addr = handle.addr();
+    let (artifact, mut g) = trained_artifact(99);
+    assert_eq!(request(addr, "POST", "/wrappers/search", &artifact).0, 201);
+    let dir = std::env::temp_dir().join(format!("rextract-serve-drift-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let manifest = |name: &str, n: usize, page: &mut dyn FnMut(usize) -> String| {
+        let mut manifest = String::new();
+        for i in 0..n {
+            let path = dir.join(format!("{name}{i:03}.html"));
+            std::fs::write(&path, page(i)).unwrap();
+            manifest.push_str(&format!("{}\n", path.display()));
+        }
+        manifest
+    };
+    let blank = "<blink>nothing here</blink>".to_string();
+
+    // Every 10th page matches nothing: a 10% empty rate, far under the
+    // threshold, however the pages batch up.
+    let mixed = manifest("mixed", 300, &mut |i| {
+        if i % 10 == 9 {
+            blank.clone()
+        } else {
+            g.page().html()
+        }
+    });
+    let (status, body) = request(addr, "POST", "/pipeline?wrapper=search", &mixed);
+    assert_eq!(status, 200, "{body}");
+    let h = get_json(addr, "/healthz");
+    assert_eq!(at(&h, &["status"]).as_str(), Some("ok"), "{h:?}");
+    let m = get_json(addr, "/metrics");
+    assert_eq!(num_at(&m, &["drift", "flagged"]), 0.0);
+    assert_eq!(num_at(&m, &["drift", "repairs_attempted"]), 0.0);
+    let row = |m: &JsonValue, k: &str| num_at(m, &["wrappers", "search", k]);
+    let pages = row(&m, "pages_ok") + row(&m, "pages_failed") + row(&m, "results_empty");
+    assert_eq!(
+        pages, 300.0,
+        "every pipeline page lands in the wrapper's row"
+    );
+    assert_eq!(row(&m, "results_empty"), 30.0);
+
+    // A run of pages the wrapper cannot parse still flags it.
+    let drifted = manifest("blank", 40, &mut |_| blank.clone());
+    assert_eq!(
+        request(addr, "POST", "/pipeline?wrapper=search", &drifted).0,
+        200
+    );
+    let m = get_json(addr, "/metrics");
+    assert_eq!(num_at(&m, &["drift", "flagged"]), 1.0);
+    assert_eq!(row(&m, "results_empty"), 70.0);
+
+    request(addr, "POST", "/shutdown", "");
+    handle.join();
+    std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -12,97 +12,17 @@
 //! same idiom as `tests/chaos.rs`.
 #![cfg(feature = "failpoints")]
 
+mod common;
+
+use common::*;
 use rextract_faults as faults;
 use rextract_html::tokenizer::tokenize;
 use rextract_learn::perturb::Perturber;
 use rextract_serve::{serve, ServeConfig};
 use rextract_wrapper::site::{PageStyle, SiteConfig, SiteGenerator};
 use rextract_wrapper::wrapper::{TrainPage, Wrapper, WrapperConfig};
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::{Mutex, MutexGuard, OnceLock};
-use std::time::{Duration, Instant};
-
-// ----- serialization over the global failpoint registry ----------------------
-
-struct FaultGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
-
-impl Drop for FaultGuard {
-    fn drop(&mut self) {
-        faults::clear_all();
-    }
-}
-
-fn arm_faults() -> FaultGuard {
-    static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-    let guard = match LOCK.get_or_init(|| Mutex::new(())).lock() {
-        Ok(g) => g,
-        Err(p) => p.into_inner(),
-    };
-    faults::clear_all();
-    FaultGuard(guard)
-}
-
-// ----- minimal HTTP client ----------------------------------------------------
-
-fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let msg = format!(
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: close\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    );
-    stream.write_all(msg.as_bytes()).unwrap();
-    let mut reader = BufReader::new(stream);
-    let mut status_line = String::new();
-    reader.read_line(&mut status_line).unwrap();
-    let status: u16 = status_line
-        .split_whitespace()
-        .nth(1)
-        .expect("status code")
-        .parse()
-        .unwrap();
-    let mut content_length = 0usize;
-    loop {
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let line = line.trim_end();
-        if line.is_empty() {
-            break;
-        }
-        if let Some(v) = line.to_ascii_lowercase().strip_prefix("content-length:") {
-            content_length = v.trim().parse().unwrap();
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    std::io::Read::read_exact(&mut reader, &mut body).unwrap();
-    (status, String::from_utf8_lossy(&body).into_owned())
-}
-
-fn json_num(body: &str, field: &str) -> Option<u64> {
-    let key = format!("\"{field}\":");
-    let at = body.find(&key)? + key.len();
-    let rest = &body[at..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn poll_until(mut f: impl FnMut() -> bool, timeout: Duration) -> bool {
-    let deadline = Instant::now() + timeout;
-    loop {
-        if f() {
-            return true;
-        }
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-}
+use std::net::SocketAddr;
+use std::time::Duration;
 
 // ----- fixtures --------------------------------------------------------------
 

@@ -33,4 +33,4 @@ pub use locator::{LrLocator, TargetLocator};
 pub use query::{evaluate_query, evaluate_query_with, QueryEvalError};
 pub use site::{PageStyle, SiteConfig, SiteGenerator};
 pub use tuple::{MultiTrainPage, TupleWrapper};
-pub use wrapper::{TrainPage, Wrapper, WrapperConfig, WrapperError, WrapperScratch};
+pub use wrapper::{PageOutcome, TrainPage, Wrapper, WrapperConfig, WrapperError, WrapperScratch};

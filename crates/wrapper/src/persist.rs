@@ -312,8 +312,8 @@ impl Wrapper {
     }
 
     /// Deserialize from the v2 text format. The resulting wrapper skips
-    /// retraining entirely (the stored expression is recompiled). See
-    /// [`parse_artifact`] for the torn-write guarantees.
+    /// retraining entirely (the stored expression is recompiled). See the
+    /// [module docs](crate::persist#crash-safety) for the torn-write guarantees.
     pub fn import(text: &str) -> Result<Wrapper, PersistError> {
         let body = parse_artifact(text, KIND_SINGLE)?;
         let expr = ExtractionExpr::parse(&body.alphabet, &body.expr_text)

@@ -107,6 +107,31 @@ impl WrapperError {
     }
 }
 
+/// One page's extraction outcome — what the daemon's per-wrapper
+/// counters and drift windows tally, whichever surface served the page.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PageOutcome {
+    /// Target located.
+    Ok,
+    /// The wrapper ran but matched nothing — the paper's primary drift
+    /// symptom.
+    Empty,
+    /// Extraction failed hard (ambiguous match, bad page).
+    Failed,
+}
+
+impl PageOutcome {
+    /// Classify one page's extraction result; the one place a
+    /// [`WrapperError`] becomes an outcome.
+    pub fn of<T>(result: &Result<T, WrapperError>) -> PageOutcome {
+        match result {
+            Ok(_) => PageOutcome::Ok,
+            Err(e) if e.is_no_match() => PageOutcome::Empty,
+            Err(_) => PageOutcome::Failed,
+        }
+    }
+}
+
 /// A trained wrapper.
 pub struct Wrapper {
     alphabet: Alphabet,

@@ -28,6 +28,15 @@ cargo clippy --workspace --all-targets --features failpoints -- -D warnings
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
 
+echo "== rustdoc links =="
+# Doc links must resolve, and public docs must not link private items.
+# The vendored stubs are workspace members despite `exclude`, so they are
+# excluded by name; --lib skips the CLI binary, whose docs collide with
+# the root `rextract` lib's.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_links" \
+  cargo doc --workspace --no-deps --offline --lib \
+  --exclude rand --exclude proptest --exclude criterion
+
 echo "== store contention smoke (fast profile) =="
 # Asserts multi-threaded agreement with uncached ground truth; speed
 # numbers are informational in the fast profile.
