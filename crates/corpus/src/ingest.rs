@@ -31,8 +31,10 @@ pub enum CorpusSource {
     /// A newline-delimited manifest file of page paths, in manifest
     /// order. Blank lines and `#` comments are skipped.
     Manifest(PathBuf),
-    /// An explicit path list (the manifest form, already parsed — the
-    /// daemon's `POST /pipeline` body).
+    /// An explicit path list. Each entry goes through the manifest rule
+    /// (one path per line, blank lines and `#` comments skipped), so a
+    /// whole manifest text — the daemon's `POST /pipeline` body — can be
+    /// one entry.
     Paths(Vec<String>),
     /// In-memory pages (bench harness).
     Memory(Vec<MemPage>),

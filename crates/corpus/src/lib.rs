@@ -48,7 +48,7 @@ pub use router::{AnyWrapper, RouteOutcome, Router, RouterError, WorkerScratch, S
 
 use rextract_html::token::Token;
 use rextract_html::tokenize_spanned;
-use rextract_wrapper::{PageOutcome, TupleWrapper, Wrapper};
+use rextract_wrapper::{PageOutcome, TupleWrapper, Wrapper, WrapperError};
 use sink::{error_line, tuple_line, PageLine, ReorderSink};
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -70,6 +70,24 @@ pub struct PageEvent<'a> {
     /// Extracted token indices in page order: one for a single-target
     /// wrapper, `k` for a tuple wrapper, none unless `outcome` is `Ok`.
     pub targets: &'a [usize],
+}
+
+impl<'a> PageEvent<'a> {
+    /// The event for one page `wrapper` ran on, from its page call's
+    /// `result` — the one place a result becomes an observer event, for
+    /// the pipeline and the daemon's `/extract` alike.
+    pub fn new(
+        wrapper: &'a str,
+        tokens: &'a [Token],
+        result: &Result<&'a [usize], WrapperError>,
+    ) -> PageEvent<'a> {
+        PageEvent {
+            wrapper,
+            tokens,
+            outcome: PageOutcome::of(result),
+            targets: result.as_ref().map_or(&[], |t| t),
+        }
+    }
 }
 
 /// Per-page hook (see [`PageEvent`]). Called on the worker thread as
@@ -348,47 +366,20 @@ fn process_job(
         }
     };
     let (tokens, spans) = tokenize_spanned(&body);
-    let routed = router.route_and_extract(&tokens, scratch);
-    let (wrapper, targets, outcome, reason) = match &routed {
-        RouteOutcome::Extracted { wrapper, target } => (
-            *wrapper,
-            std::slice::from_ref(target),
-            PageOutcome::Ok,
-            None,
-        ),
-        RouteOutcome::ExtractedTuple { wrapper, targets } => {
-            (*wrapper, &targets[..], PageOutcome::Ok, None)
-        }
-        RouteOutcome::Failed {
-            wrapper,
-            reason,
-            empty,
-        } => {
-            let outcome = if *empty {
-                PageOutcome::Empty
-            } else {
-                PageOutcome::Failed
-            };
-            (*wrapper, &[][..], outcome, Some(reason))
-        }
-        RouteOutcome::Unrouted => {
-            return (
-                Tally::Unrouted,
-                PageLine::Error(error_line(&job.source, "unrouted")),
-            )
-        }
+    let Some((wrapper, result)) = router.route(&tokens, scratch) else {
+        return (
+            Tally::Unrouted,
+            PageLine::Error(error_line(&job.source, "unrouted")),
+        );
     };
     let (name, w) = &router.wrappers()[wrapper];
+    let event = PageEvent::new(name, &tokens, &result);
+    let outcome = event.outcome;
     if let Some(obs) = observer {
-        obs(PageEvent {
-            wrapper: name,
-            tokens: &tokens,
-            outcome,
-            targets,
-        });
+        obs(event);
     }
-    let line = match reason {
-        None => {
+    let line = match result {
+        Ok(targets) => {
             let offsets: Vec<(usize, usize)> = targets.iter().map(|&t| spans[t]).collect();
             let fields: Vec<&str> = offsets.iter().map(|&(s, e)| &body[s..e]).collect();
             PageLine::Tuple(tuple_line(
@@ -400,16 +391,13 @@ fn process_job(
                 &fields,
             ))
         }
-        Some(reason) => {
+        Err(e) => {
             let verb = if outcome == PageOutcome::Empty {
                 "extract empty"
             } else {
                 "extract failed"
             };
-            PageLine::Error(error_line(
-                &job.source,
-                &format!("{verb} ({name}): {reason}"),
-            ))
+            PageLine::Error(error_line(&job.source, &format!("{verb} ({name}): {e}")))
         }
     };
     (Tally::Routed(outcome), line)

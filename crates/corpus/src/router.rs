@@ -61,22 +61,12 @@ impl AnyWrapper {
         }
     }
 
-    /// Fields per record: 1 for a single-target wrapper, `k` for a tuple
-    /// wrapper.
-    pub fn arity(&self) -> usize {
-        match self {
-            AnyWrapper::Single(_) => 1,
-            AnyWrapper::Tuple(w) => w.arity(),
-        }
-    }
-
-    /// Artifact format version for provenance lines. Tuple wrappers use
-    /// the same text format, so both kinds report the build's version.
+    /// Artifact format version for provenance lines: the build's
+    /// [`FORMAT_VERSION`](rextract_wrapper::persist::FORMAT_VERSION) for
+    /// both kinds, since the importer accepts no other and tuple wrappers
+    /// use the same text format.
     pub fn format_version(&self) -> u32 {
-        match self {
-            AnyWrapper::Single(w) => w.format_version(),
-            AnyWrapper::Tuple(_) => rextract_wrapper::persist::FORMAT_VERSION,
-        }
+        rextract_wrapper::persist::FORMAT_VERSION
     }
 
     /// Wrapper revision for provenance lines (tuple wrappers do not
@@ -88,34 +78,29 @@ impl AnyWrapper {
         }
     }
 
-    /// Extract this wrapper's targets into `targets` (cleared first),
-    /// reusing `scratch`. Uniform over both kinds so the router's probe
-    /// and bound paths need no per-kind branches at the call sites.
-    fn extract_targets_into(
+    /// The page call of either kind ([`Wrapper::extract_page`],
+    /// [`TupleWrapper::extract_page`]): token indices in page order, left
+    /// in `scratch`.
+    pub fn extract_page<'s>(
         &self,
         tokens: &[Token],
-        scratch: &mut WrapperScratch,
-        targets: &mut Vec<usize>,
-    ) -> Result<(), WrapperError> {
-        targets.clear();
+        scratch: &'s mut WrapperScratch,
+    ) -> Result<&'s [usize], WrapperError> {
         match self {
-            AnyWrapper::Single(w) => {
-                targets.push(w.extract_target_with(tokens, scratch)?);
-            }
-            AnyWrapper::Tuple(w) => {
-                targets.extend(w.extract_targets_with(tokens, scratch)?);
-            }
+            AnyWrapper::Single(w) => w.extract_page(tokens, scratch),
+            AnyWrapper::Tuple(w) => w.extract_page(tokens, scratch),
         }
-        Ok(())
     }
 }
 
-/// Where a page ended up after routing + extraction.
+/// Where a page ended up after routing + extraction: [`Router::route`]'s
+/// result as an owned value, split by wrapper kind (see
+/// [`Router::route_and_extract`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RouteOutcome {
     /// Routed and extracted: `wrapper` (index into the router's sorted
     /// wrapper list) found the target at token index `target`. Emitted
-    /// by single-target wrappers — the allocation-free steady state.
+    /// for single-target wrappers.
     Extracted { wrapper: usize, target: usize },
     /// Routed to a tuple wrapper and extracted an arity-k record.
     ExtractedTuple { wrapper: usize, targets: Vec<usize> },
@@ -243,7 +228,7 @@ impl Router {
         })
     }
 
-    /// The sorted wrapper list (index space of [`RouteOutcome`]).
+    /// The sorted wrapper list (the index space of [`Router::route`]).
     pub fn wrappers(&self) -> &[(String, AnyWrapper)] {
         &self.wrappers
     }
@@ -275,61 +260,89 @@ impl Router {
         Ok(sig)
     }
 
-    /// Route a tokenized page and extract its target. This is the worker
+    /// Route a tokenized page and extract its targets: the index of the
+    /// wrapper that took the page and its page call's result, or `None`
+    /// when the page is unrouted (no binding and no probe succeeded, or
+    /// the `pipeline.route` failpoint forced a miss). This is the worker
     /// hot loop's core: at steady state — warmed scratch, signature
-    /// already bound — it performs zero heap allocations (proved by the
-    /// counting-allocator test in `tests/pipeline_alloc.rs`). Probing and
-    /// binding only happen the first time a signature is seen.
+    /// already bound — it performs zero heap allocations, failed pages
+    /// included (proved by the counting-allocator test in
+    /// `tests/pipeline_alloc.rs`). Probing and binding only happen the
+    /// first time a signature is seen.
+    pub fn route<'s>(
+        &self,
+        tokens: &[Token],
+        scratch: &'s mut WorkerScratch,
+    ) -> Option<(usize, Result<&'s [usize], WrapperError>)> {
+        fail_point!("pipeline.route", |_action| None);
+        let i = match self.override_idx {
+            Some(i) => i,
+            None => {
+                let sig = scratch.sig.skeleton_signature(&SIGNATURE_CFG, tokens);
+                let bound = self
+                    .bindings
+                    .read()
+                    .unwrap_or_else(|e| e.into_inner())
+                    .get(&sig)
+                    .copied();
+                match bound {
+                    Some(i) => i,
+                    None => {
+                        let i = self.probe(tokens, scratch)?;
+                        self.bindings
+                            .write()
+                            .unwrap_or_else(|e| e.into_inner())
+                            .insert(sig, i);
+                        // The winner's probe already extracted the page.
+                        return Some((i, Ok(scratch.per_wrapper[i].targets())));
+                    }
+                }
+            }
+        };
+        let sc = &mut scratch.per_wrapper[i];
+        Some((i, self.wrappers[i].1.extract_page(tokens, sc)))
+    }
+
+    /// [`Router::route`] as an owned [`RouteOutcome`]: the tuple copied
+    /// out of the scratch, a failure's message formatted.
     pub fn route_and_extract(&self, tokens: &[Token], scratch: &mut WorkerScratch) -> RouteOutcome {
-        fail_point!("pipeline.route", |_action| RouteOutcome::Unrouted);
-        if let Some(i) = self.override_idx {
-            return self.extract_with(i, tokens, scratch);
+        let Some((wrapper, result)) = self.route(tokens, scratch) else {
+            return RouteOutcome::Unrouted;
+        };
+        match (result, &self.wrappers[wrapper].1) {
+            (Ok(targets), AnyWrapper::Single(_)) => RouteOutcome::Extracted {
+                wrapper,
+                target: targets[0],
+            },
+            (Ok(targets), AnyWrapper::Tuple(_)) => RouteOutcome::ExtractedTuple {
+                wrapper,
+                targets: targets.to_vec(),
+            },
+            (Err(e), _) => RouteOutcome::Failed {
+                wrapper,
+                reason: e.to_string(),
+                empty: e.is_no_match(),
+            },
         }
-        let sig = scratch.sig.skeleton_signature(&SIGNATURE_CFG, tokens);
-        let bound = self
-            .bindings
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&sig)
-            .copied();
-        if let Some(i) = bound {
-            return self.extract_with(i, tokens, scratch);
-        }
-        // Unbound: probe every wrapper; among the successes, bind the
-        // best alphabet coverage (strict `>` keeps the lowest name on
-        // ties). Total and order-independent, so two workers racing the
-        // same fresh signature bind the same winner. The probe path may
-        // allocate (it runs once per fresh signature, not per page).
-        let mut best: Option<(usize, Vec<usize>, f64)> = None;
-        let mut targets = Vec::new();
+    }
+
+    /// Probe every wrapper on an unbound page and pick, among the
+    /// successes, the best alphabet coverage (strict `>` keeps the lowest
+    /// name on ties). Total and order-independent, so two workers racing
+    /// the same fresh signature bind the same winner. The probe may
+    /// allocate (it runs once per fresh signature, not per page).
+    fn probe(&self, tokens: &[Token], scratch: &mut WorkerScratch) -> Option<usize> {
+        let mut best: Option<(usize, f64)> = None;
         for (i, (_, w)) in self.wrappers.iter().enumerate() {
             let sc = &mut scratch.per_wrapper[i];
-            if w.extract_targets_into(tokens, sc, &mut targets).is_ok() {
+            if w.extract_page(tokens, sc).is_ok() {
                 let cov = Self::coverage_of(w, sc);
-                if best.as_ref().map_or(true, |(_, _, b)| cov > *b) {
-                    best = Some((i, std::mem::take(&mut targets), cov));
+                if best.map_or(true, |(_, b)| cov > b) {
+                    best = Some((i, cov));
                 }
             }
         }
-        match best {
-            Some((i, targets, _)) => {
-                self.bindings
-                    .write()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .insert(sig, i);
-                match &self.wrappers[i].1 {
-                    AnyWrapper::Single(_) => RouteOutcome::Extracted {
-                        wrapper: i,
-                        target: targets[0],
-                    },
-                    AnyWrapper::Tuple(_) => RouteOutcome::ExtractedTuple {
-                        wrapper: i,
-                        targets,
-                    },
-                }
-            }
-            None => RouteOutcome::Unrouted,
-        }
+        best.map(|(i, _)| i)
     }
 
     /// Fraction of the just-abstracted page (left in `sc` by the
@@ -343,36 +356,6 @@ impl Router {
         }
         let known = word.iter().filter(|&&s| Some(s) != other).count();
         known as f64 / word.len() as f64
-    }
-
-    fn extract_with(
-        &self,
-        i: usize,
-        tokens: &[Token],
-        scratch: &mut WorkerScratch,
-    ) -> RouteOutcome {
-        let sc = &mut scratch.per_wrapper[i];
-        match &self.wrappers[i].1 {
-            AnyWrapper::Single(w) => match w.extract_target_with(tokens, sc) {
-                Ok(target) => RouteOutcome::Extracted { wrapper: i, target },
-                Err(e) => RouteOutcome::Failed {
-                    wrapper: i,
-                    empty: e.is_no_match(),
-                    reason: e.to_string(),
-                },
-            },
-            AnyWrapper::Tuple(w) => match w.extract_targets_with(tokens, sc) {
-                Ok(targets) => RouteOutcome::ExtractedTuple {
-                    wrapper: i,
-                    targets,
-                },
-                Err(e) => RouteOutcome::Failed {
-                    wrapper: i,
-                    empty: e.is_no_match(),
-                    reason: e.to_string(),
-                },
-            },
-        }
     }
 
     /// Serialize the binding table as a line-oriented dump:
@@ -485,18 +468,15 @@ mod tests {
             } else {
                 (g.page(), "search")
             };
-            match router.route_and_extract(&p.tokens, &mut scratch) {
-                RouteOutcome::Extracted { wrapper, target } => {
+            match router.route(&p.tokens, &mut scratch) {
+                Some((wrapper, Ok(targets))) => {
                     // An emitted tuple must never be a misroute or a
                     // wrong target — failures are tolerated, lies not.
                     assert_eq!(router.wrappers()[wrapper].0, family);
-                    assert_eq!(target, p.target);
+                    assert_eq!(targets, [p.target]);
                     ok += 1;
                 }
-                RouteOutcome::ExtractedTuple { .. } => {
-                    panic!("single-target router produced a tuple outcome")
-                }
-                RouteOutcome::Unrouted | RouteOutcome::Failed { .. } => unrouted += 1,
+                Some((_, Err(_))) | None => unrouted += 1,
             }
         }
         assert!(
@@ -521,10 +501,8 @@ mod tests {
                 continue; // different variant (e.g. header row toggled)
             }
             hits += 1;
-            match router.route_and_extract(&p.tokens, &mut scratch) {
-                RouteOutcome::Extracted { wrapper, .. } => {
-                    assert_eq!(router.wrappers()[wrapper].0, "listing")
-                }
+            match router.route(&p.tokens, &mut scratch) {
+                Some((wrapper, Ok(_))) => assert_eq!(router.wrappers()[wrapper].0, "listing"),
                 other => panic!("registered page not routed: {other:?}"),
             }
         }
@@ -540,6 +518,7 @@ mod tests {
         let (router, _) = two_wrapper_router();
         let tokens = rextract_html::tokenize("<blink>nothing to see</blink>");
         let mut scratch = WorkerScratch::new(2);
+        assert_eq!(router.route(&tokens, &mut scratch), None);
         assert_eq!(
             router.route_and_extract(&tokens, &mut scratch),
             RouteOutcome::Unrouted
@@ -556,16 +535,26 @@ mod tests {
         // wrapper to find) forced through the listing wrapper must fail
         // loudly, not fall back to routing.
         let p = g.page_with_style(rextract_wrapper::PageStyle::Plain);
-        match router.route_and_extract(&p.tokens, &mut scratch) {
-            RouteOutcome::Failed { wrapper, .. } => {
+        let err = match router.route(&p.tokens, &mut scratch) {
+            Some((wrapper, Err(e))) => {
                 assert_eq!(router.wrappers()[wrapper].0, "listing");
+                e
             }
-            other => panic!("expected Failed, got {other:?}"),
-        }
+            other => panic!("expected a failed page call, got {other:?}"),
+        };
+        // The adapter carries the same failure, formatted.
+        assert_eq!(
+            router.route_and_extract(&p.tokens, &mut scratch),
+            RouteOutcome::Failed {
+                wrapper: 0,
+                reason: err.to_string(),
+                empty: err.is_no_match(),
+            }
+        );
         let p = g.listing_page();
         assert!(matches!(
-            router.route_and_extract(&p.tokens, &mut scratch),
-            RouteOutcome::Extracted { .. }
+            router.route(&p.tokens, &mut scratch),
+            Some((0, Ok(_)))
         ));
     }
 
@@ -618,7 +607,6 @@ mod tests {
             None,
         )
         .unwrap();
-        assert_eq!(router.wrappers()[1].1.arity(), 2);
         let mut scratch = WorkerScratch::new(2);
         let mut ok = 0;
         for _ in 0..10 {
@@ -655,9 +643,9 @@ mod tests {
         let mut scratch = WorkerScratch::new(2);
         for _ in 0..6 {
             let p = g.listing_page();
-            router.route_and_extract(&p.tokens, &mut scratch);
+            router.route(&p.tokens, &mut scratch);
             let p = g.page();
-            router.route_and_extract(&p.tokens, &mut scratch);
+            router.route(&p.tokens, &mut scratch);
         }
         let dump = router.export_bindings();
         assert!(dump.starts_with(BINDINGS_HEADER));

@@ -1,7 +1,8 @@
 //! Proof of the corpus worker's allocation discipline: once a worker's
 //! [`WorkerScratch`] is warm and the corpus's site signatures are bound,
-//! the per-page route + extract core (`Router::route_and_extract`)
-//! performs **zero** heap allocations per page.
+//! the per-page route + extract core (`Router::route`, the worker's
+//! call) performs **zero** heap allocations per page — pages the wrapper
+//! finds nothing on included.
 //!
 //! Same counting-`#[global_allocator]` idiom as
 //! `crates/extraction/tests/zero_alloc.rs`: allocations are tallied only
@@ -13,7 +14,7 @@
 //! cost, not part of the routing/extraction contract (the same scoping
 //! as serve's `batch_alloc.rs`).
 
-use rextract_corpus::{RouteOutcome, Router, WorkerScratch};
+use rextract_corpus::{Router, WorkerScratch};
 use rextract_html::token::Token;
 use rextract_wrapper::site::{PageStyle, SiteConfig, SiteGenerator};
 use rextract_wrapper::{TrainPage, Wrapper, WrapperConfig};
@@ -81,19 +82,17 @@ fn steady_state_route_and_extract_does_not_allocate() {
     let listing: Vec<TrainPage> = (0..6).map(|_| TrainPage::from(&g.listing_page())).collect();
     let trained =
         |pages: &[TrainPage]| Arc::new(Wrapper::train(pages, WrapperConfig::default()).unwrap());
-    let router = Router::new(
-        vec![
-            ("search".to_string(), trained(&search)),
-            ("listing".to_string(), trained(&listing)),
-        ],
-        None,
-    )
-    .unwrap();
+    let wrappers = vec![
+        ("search".to_string(), trained(&search)),
+        ("listing".to_string(), trained(&listing)),
+    ];
+    let router = Router::new(wrappers.clone(), None).unwrap();
+    // `--wrapper search`: every page goes to one wrapper, so a page it
+    // does not parse is a failed page, not an unrouted one.
+    let forced = Router::new(wrappers, Some("search")).unwrap();
 
     // A fixed interleaved corpus, pre-tokenized. Keep only pages that
-    // route successfully: the Failed outcome formats a reason string
-    // (allocates) and is exempt by design, like the ambiguous-error
-    // path in the extraction engine's own zero-alloc test.
+    // route successfully; the no-match pages are a separate input.
     let mut scratch = WorkerScratch::new(router.wrappers().len());
     let pages: Vec<Vec<Token>> = (0..16)
         .map(|i| {
@@ -103,22 +102,24 @@ fn steady_state_route_and_extract_does_not_allocate() {
                 g.listing_page().tokens
             }
         })
-        .filter(|tokens| {
-            matches!(
-                router.route_and_extract(tokens, &mut scratch),
-                RouteOutcome::Extracted { .. }
-            )
-        })
+        .filter(|tokens| matches!(router.route(tokens, &mut scratch), Some((_, Ok(_)))))
         .collect();
     assert!(
         pages.len() >= 12,
         "too few routable pages ({}) to exercise the steady state",
         pages.len()
     );
+    let empty: Vec<Vec<Token>> = (0..16)
+        .map(|i| rextract_html::tokenize(&format!("<blink>nothing here {i}</blink>")))
+        .collect();
+    let mut forced_scratch = WorkerScratch::new(forced.wrappers().len());
 
     // Warm-up: every signature bound, every scratch buffer at max size.
     for tokens in &pages {
-        let _ = router.route_and_extract(tokens, &mut scratch);
+        let _ = router.route(tokens, &mut scratch);
+    }
+    for tokens in &empty {
+        let _ = forced.route(tokens, &mut forced_scratch);
     }
     let bindings_before = router.binding_count();
 
@@ -126,11 +127,17 @@ fn steady_state_route_and_extract_does_not_allocate() {
     COUNTING.with(|c| c.set(true));
     for _ in 0..50 {
         for tokens in &pages {
-            match router.route_and_extract(tokens, &mut scratch) {
-                RouteOutcome::Extracted { .. } => {}
-                other => {
+            if !matches!(router.route(tokens, &mut scratch), Some((_, Ok(_)))) {
+                COUNTING.with(|c| c.set(false));
+                panic!("warmed page stopped routing");
+            }
+        }
+        for tokens in &empty {
+            match forced.route(tokens, &mut forced_scratch) {
+                Some((_, Err(e))) if e.is_no_match() => {}
+                _ => {
                     COUNTING.with(|c| c.set(false));
-                    panic!("warmed page stopped routing: {other:?}");
+                    panic!("no-match page stopped failing empty");
                 }
             }
         }
@@ -142,7 +149,7 @@ fn steady_state_route_and_extract_does_not_allocate() {
         allocs,
         0,
         "steady-state route+extract performed {allocs} heap allocations over {} pages",
-        pages.len() * 50
+        (pages.len() + empty.len()) * 50
     );
     assert_eq!(
         router.binding_count(),

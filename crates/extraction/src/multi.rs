@@ -31,7 +31,6 @@ use crate::error::ExtractionError;
 use crate::expr::ExtractionExpr;
 use crate::extract::{ExtractFailure, ExtractScratch, Extractor};
 use crate::left_filter::left_filter_maximize_lang;
-use crate::span::{Span, SpanRelation};
 use rextract_automata::{Alphabet, Lang, Symbol};
 
 /// A multi-marker extraction expression `E0⟨p1⟩E1⟨p2⟩…⟨pk⟩Ek`.
@@ -199,7 +198,7 @@ impl MultiExtractionExpr {
     /// One-shot convenience: compiles all `k` extractors **per call**.
     /// For repeated extraction compile once with
     /// [`MultiExtractionExpr::compile`] and reuse a scratch through
-    /// [`MultiExtractor::extract_with`].
+    /// [`MultiExtractor::extract_into`].
     pub fn extract(&self, doc: &[Symbol]) -> Result<Vec<usize>, ExtractFailure> {
         self.compile().extract(doc)
     }
@@ -312,65 +311,12 @@ impl MultiExtractor {
         Ok(())
     }
 
-    /// Extract the tuple as unit spans into `out` (cleared first),
-    /// reusing `scratch` for every per-marker scan. The span analogue of
-    /// [`MultiExtractor::extract_into`]: same tuple, same failure modes,
-    /// allocation-free at steady state.
-    pub fn extract_spans_into(
-        &self,
-        doc: &[Symbol],
-        scratch: &mut ExtractScratch,
-        out: &mut Vec<Span>,
-    ) -> Result<(), ExtractFailure> {
-        out.clear();
-        for x in &self.extractors {
-            out.push(Span::unit(x.extract_with(doc, scratch)?.position));
-        }
-        debug_assert!(
-            out.windows(2).all(|w| w[0].before(&w[1])),
-            "tuple spans must be ordered"
-        );
-        Ok(())
-    }
-
-    /// Extract the tuple as a single-row [`SpanRelation`] with the given
-    /// variable names (one per marker, in marker order). This is how a
-    /// tuple wrapper's per-marker extractions enter the relational
-    /// algebra ([`crate::algebra`]).
-    pub fn span_relation_with(
-        &self,
-        vars: impl IntoIterator<Item = impl Into<String>>,
-        doc: &[Symbol],
-        scratch: &mut ExtractScratch,
-    ) -> Result<SpanRelation, ExtractFailure> {
-        let mut rel = SpanRelation::empty(vars);
-        assert_eq!(
-            rel.arity(),
-            self.arity(),
-            "need one variable per marker ({} markers, {} variables)",
-            self.arity(),
-            rel.arity()
-        );
-        let mut row = Vec::with_capacity(self.arity());
-        self.extract_spans_into(doc, scratch, &mut row)?;
-        rel.insert(row);
-        Ok(rel)
-    }
-
-    /// Extract the tuple, reusing `scratch` but allocating the output.
-    pub fn extract_with(
-        &self,
-        doc: &[Symbol],
-        scratch: &mut ExtractScratch,
-    ) -> Result<Vec<usize>, ExtractFailure> {
-        let mut out = Vec::with_capacity(self.arity());
-        self.extract_into(doc, scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Allocating convenience wrapper over [`MultiExtractor::extract_with`].
+    /// Extract the tuple, allocating a fresh scratch and output; repeated
+    /// extraction should reuse both through [`MultiExtractor::extract_into`].
     pub fn extract(&self, doc: &[Symbol]) -> Result<Vec<usize>, ExtractFailure> {
-        self.extract_with(doc, &mut ExtractScratch::new())
+        let mut out = Vec::with_capacity(self.arity());
+        self.extract_into(doc, &mut ExtractScratch::new(), &mut out)?;
+        Ok(out)
     }
 }
 
@@ -535,42 +481,6 @@ mod tests {
     #[should_panic(expected = "final segment to be Σ*")]
     fn maximize_requires_universal_tail() {
         let _ = m("r <p> r <q> r").maximize();
-    }
-
-    #[test]
-    fn tuple_spans_and_span_relation() {
-        let a = ab();
-        let e = m("[^p]* <p> [^q]* <q> .*");
-        let compiled = e.compile();
-        let mut scratch = ExtractScratch::new();
-        let doc = a.str_to_syms("r r p r r q p q").unwrap();
-        let mut spans = Vec::new();
-        compiled
-            .extract_spans_into(&doc, &mut scratch, &mut spans)
-            .unwrap();
-        assert_eq!(spans, vec![Span::unit(2), Span::unit(5)]);
-        let rel = compiled
-            .span_relation_with(["name", "price"], &doc, &mut scratch)
-            .unwrap();
-        assert_eq!(rel.vars(), ["name".to_string(), "price".to_string()]);
-        assert_eq!(rel.rows(), [vec![Span::unit(2), Span::unit(5)]]);
-        // Failures propagate unchanged.
-        let bad = a.str_to_syms("r p r r").unwrap();
-        assert_eq!(
-            compiled
-                .span_relation_with(["name", "price"], &bad, &mut scratch)
-                .unwrap_err(),
-            ExtractFailure::NoMatch
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "one variable per marker")]
-    fn span_relation_arity_mismatch_panics() {
-        let e = m("[^p]* <p> [^q]* <q> .*");
-        let _ = e
-            .compile()
-            .span_relation_with(["only-one"], &[], &mut ExtractScratch::new());
     }
 
     #[test]

@@ -374,9 +374,8 @@ impl Registry {
     }
 
     /// Every installed wrapper as `(name, wrapper)` pairs, sorted by
-    /// name — the corpus pipeline's routing set. Each wrapper carries its
-    /// persist format version ([`Wrapper::format_version`]), which the
-    /// pipeline stamps into every emitted tuple's provenance.
+    /// name — the corpus pipeline's routing set, which stamps the build's
+    /// persist format version into every emitted tuple's provenance.
     pub fn entries(&self) -> Vec<(String, Arc<Wrapper>)> {
         let mut entries: Vec<(String, Arc<Wrapper>)> = self
             .read()

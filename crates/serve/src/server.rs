@@ -59,7 +59,7 @@ use rextract_faults::fail_point;
 use rextract_html::tokenize_spanned;
 use rextract_html::tokenizer::tokenize;
 use rextract_wrapper::evaluate_query_with;
-use rextract_wrapper::wrapper::{PageOutcome, Wrapper, WrapperError, WrapperScratch};
+use rextract_wrapper::wrapper::{Wrapper, WrapperError, WrapperScratch};
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -1300,15 +1300,10 @@ fn handle_extract_resolved(
         return deadline_response(ctx);
     }
     let extract_started = Instant::now();
-    let result = wrapper.extract_target_with(&tokens, scratch);
+    let result = wrapper.extract_page(&tokens, scratch);
     let extract_us = extract_started.elapsed().as_micros() as u64;
-    (ctx.observer)(PageEvent {
-        wrapper: name,
-        tokens: &tokens,
-        outcome: PageOutcome::of(&result),
-        targets: result.as_ref().map_or(&[], std::slice::from_ref),
-    });
-    let (status, body) = match result {
+    (ctx.observer)(PageEvent::new(name, &tokens, &result));
+    let (status, body) = match result.map(|t| t[0]) {
         Ok(idx) => (
             200,
             json::object(|o| {
@@ -1383,13 +1378,8 @@ fn handle_pipeline(req: &Request, ctx: &Ctx) -> Response {
         // Every routed page reaches the same tallies, drift window and
         // repair evidence as an `/extract` page, one page at a time.
         observer: Some(Arc::clone(&ctx.observer)),
-        ..PipelineConfig::new(CorpusSource::Paths(
-            body.lines()
-                .map(str::trim)
-                .filter(|l| !l.is_empty() && !l.starts_with('#'))
-                .map(str::to_string)
-                .collect(),
-        ))
+        // Enumeration applies the manifest rule to the whole body.
+        ..PipelineConfig::new(CorpusSource::Paths(vec![body]))
     };
     let mut out = Vec::new();
     match run_pipeline(&cfg, wrappers, &mut out, None) {
@@ -1495,9 +1485,13 @@ fn handle_query(req: &Request, ctx: &Ctx, scratch: &mut WrapperScratch) -> Respo
             &format!("unknown strategy {strategy_name:?} (want sort-merge or nested-loop)"),
         );
     };
-    let html = req.body_utf8();
+    // Strict: the reported byte extents index the posted bytes, which a
+    // lossy decode would shift past every replaced byte.
+    let Ok(html) = std::str::from_utf8(&req.body) else {
+        return Response::error(400, "body is not valid UTF-8: POST the HTML page as UTF-8");
+    };
     let started = Instant::now();
-    let (tokens, byte_spans) = tokenize_spanned(&html);
+    let (tokens, byte_spans) = tokenize_spanned(html);
     let lookup = |n: &str| ctx.registry.get(n);
     // The worker's long-lived scratch: repeated queries reuse the page
     // abstraction and scan buffers instead of reallocating per request.

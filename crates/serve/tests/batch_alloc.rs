@@ -5,7 +5,7 @@
 //! Same counting-`#[global_allocator]` idiom as the extraction crate's
 //! `zero_alloc` test: a const-initialized thread-local gate makes the
 //! tally blind to every other thread. Each document goes through
-//! [`Wrapper::extract_target_with`] against one shared scratch — exactly
+//! [`Wrapper::extract_page`] against one shared scratch — exactly
 //! what a daemon worker runs per batch item. Training and tokenization
 //! stay outside the counted window, as in the daemon, where tokenization
 //! is per-request but extraction reuses the worker's scratch.
@@ -84,8 +84,8 @@ fn steady_state_batch_does_not_allocate() {
     // Warm-up batch: grow the shared scratch to the largest document —
     // exactly what serving the first batch does.
     for doc in &docs {
-        let got = wrapper.extract_target_with(&doc.tokens, &mut scratch);
-        assert_eq!(got.ok(), Some(doc.target));
+        let got = wrapper.extract_page(&doc.tokens, &mut scratch);
+        assert_eq!(got, Ok(&[doc.target][..]));
     }
 
     ALLOCS.store(0, Ordering::SeqCst);
@@ -93,8 +93,8 @@ fn steady_state_batch_does_not_allocate() {
     let mut extracted = 0;
     for _ in 0..50 {
         for doc in &docs {
-            if let Ok(target) = wrapper.extract_target_with(&doc.tokens, &mut scratch) {
-                extracted += usize::from(target == doc.target);
+            if let Ok(targets) = wrapper.extract_page(&doc.tokens, &mut scratch) {
+                extracted += usize::from(targets == [doc.target]);
             }
         }
     }

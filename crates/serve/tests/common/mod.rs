@@ -17,12 +17,23 @@ pub fn send_request(
     body: &str,
     close: bool,
 ) -> std::io::Result<()> {
+    send_bytes(stream, method, path, body.as_bytes(), close)
+}
+
+/// [`send_request`] with a raw byte body, which need not be UTF-8.
+pub fn send_bytes(
+    stream: &mut TcpStream,
+    method: &str,
+    path: &str,
+    body: &[u8],
+    close: bool,
+) -> std::io::Result<()> {
     let conn = if close { "close" } else { "keep-alive" };
-    let msg = format!(
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: {conn}\r\nContent-Length: {}\r\n\r\n{body}",
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\nHost: t\r\nConnection: {conn}\r\nContent-Length: {}\r\n\r\n",
         body.len()
     );
-    stream.write_all(msg.as_bytes())
+    stream.write_all(&[head.as_bytes(), body].concat())
 }
 
 /// Read one response off an open reader (pipelined connections carry
@@ -66,6 +77,16 @@ pub fn try_request(
 
 pub fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, String) {
     try_request(addr, method, path, body).expect("request failed")
+}
+
+/// One-shot request with a raw byte body on a fresh connection.
+pub fn request_bytes(addr: SocketAddr, method: &str, path: &str, body: &[u8]) -> (u16, String) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    send_bytes(&mut stream, method, path, body, true).expect("write request");
+    read_response(&mut BufReader::new(stream)).expect("response")
 }
 
 /// Extract `"field":value` (number) from a flat JSON body.

@@ -123,6 +123,19 @@ fn install_extract_metrics_shutdown_end_to_end() {
     let (status, _) = request(addr, "POST", "/extract", &html);
     assert_eq!(status, 200);
 
+    // An ambiguous match reports token indices, like a 200 does: the
+    // abstracted word drops the text token, so the two INPUTs are word
+    // positions 3 and 4 but tokens 4 and 5.
+    let body = "rextract-wrapper v2\nseq include_text=false include_end_tags=true\n\
+                alphabet #other /FORM /P FORM INPUT P\nmaximized false\nexpr .* <INPUT> .*\n";
+    let sum = rextract_wrapper::persist::fnv1a_64(body.as_bytes());
+    let ambiguous = format!("{body}checksum fnv1a {sum:016x}\n");
+    assert_eq!(request(addr, "POST", "/wrappers/amb", &ambiguous).0, 201);
+    let page = "<p>hello</p><form><input><input></form>";
+    let (status, body) = request(addr, "POST", "/extract?wrapper=amb", page);
+    assert_eq!(status, 422, "{body}");
+    assert!(body.contains("\"positions\":[4,5]"), "{body}");
+
     // Metrics: non-zero request counts and latency histograms, store stats.
     let (status, body) = request(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
@@ -450,11 +463,16 @@ fn pipeline_endpoint_streams_tuples_and_feeds_metrics() {
     // error line, not abort the run.
     let dir = std::env::temp_dir().join(format!("rextract-serve-pipe-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let pages = 6;
+    // Six generated pages and one the wrapper finds nothing on.
+    let htmls: Vec<String> = (0..6)
+        .map(|_| g.page().html())
+        .chain(["<blink>nothing here</blink>".to_string()])
+        .collect();
+    let pages = htmls.len();
     let mut manifest = String::new();
-    for i in 0..pages {
+    for (i, html) in htmls.iter().enumerate() {
         let path = dir.join(format!("p{i}.html"));
-        std::fs::write(&path, g.page().html()).unwrap();
+        std::fs::write(&path, html).unwrap();
         manifest.push_str(&format!("{}\n", path.display()));
     }
     manifest.push_str("# not a page\n");
@@ -475,11 +493,24 @@ fn pipeline_endpoint_streams_tuples_and_feeds_metrics() {
             "line {i} out of manifest order: {line}"
         );
     }
-    let tuples = lines.iter().filter(|l| l.contains("\"fields\":")).count();
-    assert!(
-        tuples >= 4,
-        "only {tuples}/{pages} pages produced tuples: {body}"
-    );
+    // `/extract` agrees page by page: the same target, as the same byte
+    // extent, or the same no-match.
+    for (html, line) in htmls.iter().zip(&lines) {
+        let (status, extracted) = request(addr, "POST", "/extract?wrapper=search", html);
+        match status {
+            200 => {
+                let (_, spans) = rextract_html::tokenize_spanned(html);
+                let (s, e) = spans[json_num(&extracted, "position").unwrap() as usize];
+                let offsets = format!("\"byte_offsets\":[[{s},{e}]]");
+                assert!(line.contains(&offsets), "{line} vs {extracted}");
+            }
+            422 => assert!(
+                line.contains("\"error\":\"extract empty (search): "),
+                "{line} vs {extracted}"
+            ),
+            _ => panic!("{status}: {extracted}"),
+        }
+    }
     assert!(
         body.contains("\"wrapper\":\"search\"") && body.contains("\"wrapper_version\":"),
         "tuples lack provenance: {body}"
@@ -608,6 +639,17 @@ fn query_endpoint_joins_sources_with_strategy_agreement() {
     // HTML back to the tags the spans name.
     assert!(records.contains("<form"), "{body}");
     assert!(records.contains("<input"), "{body}");
+    // Extents count the posted bytes: a two-byte `é` before the form
+    // shifts them by two. A body that is not UTF-8 has no such extents
+    // and is refused instead of re-decoded.
+    let accented = html.replacen("<form", "<!-- é --><form", 1);
+    let (status, body) = request(addr, "POST", "/query?query=pair", &accented);
+    assert_eq!(status, 200, "{body}");
+    let form = accented.find("<form").unwrap() as u64;
+    assert_eq!(json_num(records_of(&body), "start"), Some(form), "{body}");
+    let invalid = b"<p>\xff</p><form action=x></form>";
+    let (status, body) = request_bytes(addr, "POST", "/query?query=pair", invalid);
+    assert_eq!(status, 400, "{body}");
 
     // The sort-merge result is byte-identical to the nested-loop oracle.
     let (status, oracle) = request(
@@ -633,8 +675,8 @@ fn query_endpoint_joins_sources_with_strategy_agreement() {
     let (status, m) = request(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
     let pair = m.split("\"pair\":").nth(1).expect("pair counters");
-    assert_eq!(json_num(pair, "evaluations"), Some(2), "{m}");
-    assert_eq!(json_num(pair, "records_emitted"), Some(2), "{m}");
+    assert_eq!(json_num(pair, "evaluations"), Some(3), "{m}");
+    assert_eq!(json_num(pair, "records_emitted"), Some(3), "{m}");
     let orphan = m.split("\"orphan\":").nth(1).expect("orphan counters");
     assert_eq!(json_num(orphan, "failures"), Some(1), "{m}");
 

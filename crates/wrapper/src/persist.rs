@@ -325,7 +325,6 @@ impl Wrapper {
             extractor,
             body.seq,
             body.maximized,
-            FORMAT_VERSION,
         ))
     }
 

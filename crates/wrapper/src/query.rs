@@ -9,10 +9,10 @@
 //! disambiguating step); an expression source compiles on the fly over
 //! its own alphabet and the plain tags-only abstraction.
 
-use crate::wrapper::{abstract_page_into, Wrapper, WrapperScratch, OTHER};
+use crate::wrapper::{Wrapper, WrapperScratch, OTHER};
 use rextract_automata::Alphabet;
 use rextract_extraction::{
-    AlgebraError, ExtractionExpr, Extractor, JoinStrategy, QueryDef, SourceKind, Span, SpanRelation,
+    AlgebraError, ExtractionExpr, Extractor, JoinStrategy, QueryDef, SourceKind, SpanRelation,
 };
 use rextract_html::seq::SeqConfig;
 use rextract_html::token::Token;
@@ -121,13 +121,7 @@ fn expr_relation(
             error: e.to_string(),
         })?;
     let extractor = Extractor::compile(&expr);
-    abstract_page_into(&alphabet, &SeqConfig::tags_only(), tokens, scratch);
-    let (word, back, extract, _) = scratch.tuple_parts();
-    let spans = extractor.spans_into(word, extract);
-    Ok(SpanRelation::unary(
-        var,
-        spans.iter().map(|s| Span::unit(back[s.start])),
-    ))
+    Ok(scratch.candidates(var, &alphabet, &SeqConfig::tags_only(), &extractor, tokens))
 }
 
 #[cfg(test)]
@@ -135,6 +129,7 @@ mod tests {
     use super::*;
     use crate::site::{PageStyle, SiteConfig, SiteGenerator};
     use crate::wrapper::{TrainPage, WrapperConfig};
+    use rextract_extraction::Span;
 
     fn gen(seed: u64) -> SiteGenerator {
         SiteGenerator::new(SiteConfig {

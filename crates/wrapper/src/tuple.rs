@@ -8,11 +8,9 @@
 //! merging of [`rextract_learn::multi_merge`] and componentwise
 //! maximization.
 
-use crate::wrapper::{
-    abstract_page_into, TrainPage, WrapperConfig, WrapperError, WrapperScratch, OTHER,
-};
+use crate::wrapper::{TrainPage, WrapperConfig, WrapperError, WrapperScratch, OTHER};
 use rextract_automata::Alphabet;
-use rextract_extraction::{MultiExtractionExpr, MultiExtractor, Span, SpanRelation};
+use rextract_extraction::{MultiExtractionExpr, MultiExtractor};
 use rextract_html::seq::{to_names, SeqConfig, Vocabulary};
 use rextract_html::token::Token;
 use rextract_learn::multi_merge::{merge_multi, MultiMarkedSeq};
@@ -137,51 +135,28 @@ impl TupleWrapper {
         self.maximized
     }
 
-    /// Locate the target tuple, reusing `scratch` for the abstraction and
-    /// every per-marker scan; returns **token indices** in page order.
-    /// The only steady-state allocation is the small returned tuple.
-    pub fn extract_targets_with(
+    /// The page call: locate the target tuple, reusing `scratch` for the
+    /// abstraction and every per-marker scan; returns **token indices**
+    /// in page order as a slice of `scratch` (also left in
+    /// [`WrapperScratch::targets`]). Allocation-free at steady state, like
+    /// [`Wrapper::extract_page`](crate::wrapper::Wrapper::extract_page).
+    pub fn extract_page<'s>(
         &self,
         tokens: &[Token],
-        scratch: &mut WrapperScratch,
-    ) -> Result<Vec<usize>, WrapperError> {
-        abstract_page_into(&self.alphabet, &self.seq_cfg, tokens, scratch);
-        // Split the scratch so the word can be read while the scan
-        // buffers and tuple positions are written.
-        let (word, back, extract, positions) = scratch.tuple_parts();
-        self.extractor
-            .extract_into(word, extract, positions)
-            .map_err(WrapperError::Extract)?;
-        Ok(positions.iter().map(|&p| back[p]).collect())
+        scratch: &'s mut WrapperScratch,
+    ) -> Result<&'s [usize], WrapperError> {
+        let scan = |word: &[_], extract: &mut _, out: &mut _| {
+            self.extractor.extract_into(word, extract, out)
+        };
+        scratch.page_call(&self.alphabet, &self.seq_cfg, tokens, scan)
     }
 
     /// Locate the target tuple; returns **token indices** in page order.
     /// Allocating convenience wrapper over
-    /// [`TupleWrapper::extract_targets_with`].
+    /// [`TupleWrapper::extract_page`].
     pub fn extract_targets(&self, tokens: &[Token]) -> Result<Vec<usize>, WrapperError> {
-        self.extract_targets_with(tokens, &mut WrapperScratch::new())
-    }
-
-    /// Extract the tuple as a single-row [`SpanRelation`] binding `vars`
-    /// (one per marker, in marker order) in **token-index** space — the
-    /// tuple wrapper's entry into the span-relational algebra.
-    pub fn span_relation_with(
-        &self,
-        vars: impl IntoIterator<Item = impl Into<String>>,
-        tokens: &[Token],
-        scratch: &mut WrapperScratch,
-    ) -> Result<SpanRelation, WrapperError> {
-        let mut rel = SpanRelation::empty(vars);
-        assert_eq!(
-            rel.arity(),
-            self.arity(),
-            "need one variable per marker ({} markers, {} variables)",
-            self.arity(),
-            rel.arity()
-        );
-        let positions = self.extract_targets_with(tokens, scratch)?;
-        rel.insert(positions.into_iter().map(Span::unit).collect());
-        Ok(rel)
+        self.extract_page(tokens, &mut WrapperScratch::new())
+            .map(<[usize]>::to_vec)
     }
 }
 
@@ -310,28 +285,6 @@ mod tests {
         let tw = TupleWrapper::train(&multis, WrapperConfig::default()).unwrap();
         for p in [&p1, &p2] {
             assert_eq!(tw.extract_targets(&p.tokens).unwrap(), vec![p.target]);
-        }
-    }
-
-    #[test]
-    fn span_relation_is_the_tuple_as_one_row() {
-        use rextract_extraction::Span;
-        let mut g = gen(5);
-        let pages = vec![
-            multi_page(&g.page_with_style(PageStyle::Plain)),
-            multi_page(&g.page_with_style(PageStyle::TableEmbedded)),
-        ];
-        let w = TupleWrapper::train(&pages, WrapperConfig::default()).unwrap();
-        let mut scratch = WrapperScratch::new();
-        for p in &pages {
-            let rel = w
-                .span_relation_with(["form", "field"], &p.tokens, &mut scratch)
-                .unwrap();
-            assert_eq!(rel.vars(), ["form".to_string(), "field".to_string()]);
-            assert_eq!(
-                rel.rows(),
-                [p.targets.iter().map(|&t| Span::unit(t)).collect::<Vec<_>>()]
-            );
         }
     }
 

@@ -139,7 +139,6 @@ pub struct Wrapper {
     extractor: Extractor,
     seq_cfg: SeqConfig,
     maximized: bool,
-    format_version: u32,
     revision: u32,
     train_stats: StoreStats,
 }
@@ -189,7 +188,6 @@ impl Wrapper {
             extractor,
             seq_cfg: cfg.seq,
             maximized,
-            format_version: crate::persist::FORMAT_VERSION,
             revision: 1,
             train_stats: Store::stats().since(&stats_before),
         })
@@ -197,17 +195,12 @@ impl Wrapper {
 
     /// Assemble a wrapper from pre-built parts (the import path of
     /// [`crate::persist`]; training is bypassed entirely).
-    /// `format_version` is the artifact format the wrapper was parsed
-    /// from (today always [`crate::persist::FORMAT_VERSION`] — the strict
-    /// importer rejects anything else — but provenance records carry it
-    /// so a future v3 reader can tell the two apart).
     pub(crate) fn from_parts(
         alphabet: Alphabet,
         expr: ExtractionExpr,
         extractor: Extractor,
         seq_cfg: SeqConfig,
         maximized: bool,
-        format_version: u32,
     ) -> Wrapper {
         Wrapper {
             alphabet,
@@ -215,7 +208,6 @@ impl Wrapper {
             extractor,
             seq_cfg,
             maximized,
-            format_version,
             revision: 1,
             train_stats: StoreStats::default(),
         }
@@ -239,15 +231,6 @@ impl Wrapper {
     /// Whether the wrapper holds a maximized expression.
     pub fn is_maximized(&self) -> bool {
         self.maximized
-    }
-
-    /// The artifact format version this wrapper was trained at or loaded
-    /// from (see [`crate::persist::FORMAT_VERSION`]). Provenance records
-    /// emit this alongside the wrapper name so downstream consumers can
-    /// audit which on-disk format produced a tuple without reparsing the
-    /// artifact.
-    pub fn format_version(&self) -> u32 {
-        self.format_version
     }
 
     /// The runtime install revision of this wrapper instance. Starts at 1
@@ -279,24 +262,35 @@ impl Wrapper {
         self.extractor.num_classes()
     }
 
-    /// Locate the target on a page, reusing `scratch` for the abstracted
-    /// word, back-map, tag memo, and the extractor's scan buffers; returns
-    /// the target's **token index**. This is the serve hot path: the tag
-    /// memo persists across pages of the same wrapper (validated by
-    /// [`Alphabet::uid`]), so at steady state — e.g. a batch of documents
-    /// for one wrapper — extraction performs **zero** heap allocations;
-    /// only a tag name never seen under this alphabet adds a memo entry.
+    /// The page call: locate the target on a page, reusing `scratch` for
+    /// the abstracted word, back-map, tag memo, and the extractor's scan
+    /// buffers; returns the target's **token index**, a one-element slice
+    /// of `scratch`. This is the serve hot path: the tag memo persists
+    /// across pages of the same wrapper (validated by [`Alphabet::uid`]),
+    /// so at steady state — e.g. a batch of documents for one wrapper —
+    /// extraction performs **zero** heap allocations; only a tag name
+    /// never seen under this alphabet adds a memo entry.
+    pub fn extract_page<'s>(
+        &self,
+        tokens: &[Token],
+        scratch: &'s mut WrapperScratch,
+    ) -> Result<&'s [usize], WrapperError> {
+        let scan = |word: &[_], extract: &mut _, out: &mut Vec<usize>| {
+            self.extractor
+                .extract_with(word, extract)
+                .map(|hit| out.push(hit.position))
+        };
+        scratch.page_call(&self.alphabet, &self.seq_cfg, tokens, scan)
+    }
+
+    /// Locate the target on a page, reusing `scratch`; returns its
+    /// **token index** — [`Wrapper::extract_page`]'s one target.
     pub fn extract_target_with(
         &self,
         tokens: &[Token],
         scratch: &mut WrapperScratch,
     ) -> Result<usize, WrapperError> {
-        abstract_page_into(&self.alphabet, &self.seq_cfg, tokens, scratch);
-        let hit = self
-            .extractor
-            .extract_with(&scratch.word, &mut scratch.extract)
-            .map_err(WrapperError::Extract)?;
-        Ok(scratch.back[hit.position])
+        self.extract_page(tokens, scratch).map(|t| t[0])
     }
 
     /// Locate the target on a page; returns its **token index**.
@@ -311,7 +305,7 @@ impl Wrapper {
     /// spans mapped through the abstraction's back-map).
     ///
     /// This is the wrapper's entry into the span-relational algebra:
-    /// unlike [`Wrapper::extract_target_with`] it does not demand
+    /// unlike [`Wrapper::extract_page`] it does not demand
     /// uniqueness — zero candidates yield an empty relation and several
     /// candidates several rows — because a query join is itself the
     /// disambiguating step (Freydenberger–Kimelfeld–Peterfreund's
@@ -323,10 +317,7 @@ impl Wrapper {
         tokens: &[Token],
         scratch: &mut WrapperScratch,
     ) -> SpanRelation {
-        abstract_page_into(&self.alphabet, &self.seq_cfg, tokens, scratch);
-        let (word, back, extract, _) = scratch.tuple_parts();
-        let spans = self.extractor.spans_into(word, extract);
-        SpanRelation::unary(var, spans.iter().map(|s| Span::unit(back[s.start])))
+        scratch.candidates(var, &self.alphabet, &self.seq_cfg, &self.extractor, tokens)
     }
 }
 
@@ -354,8 +345,8 @@ pub struct WrapperScratch {
     memo_uid: Option<u64>,
     /// Scan buffers for the extraction engine.
     extract: ExtractScratch,
-    /// Tuple positions for [`TupleWrapper`](crate::tuple::TupleWrapper).
-    pub(crate) positions: Vec<usize>,
+    /// Token indices found by the last page call.
+    targets: Vec<usize>,
     /// Per-token hash sequence for [`WrapperScratch::skeleton_signature`].
     sig: Vec<u64>,
     /// Double buffer for the signature's tandem-repeat collapse passes.
@@ -374,9 +365,62 @@ impl WrapperScratch {
         &self.word
     }
 
-    /// The token back-map of the most recent page.
-    pub fn back(&self) -> &[usize] {
-        &self.back
+    /// The token indices the most recent page call returned, e.g.
+    /// [`Wrapper::extract_page`]; empty if it failed.
+    pub fn targets(&self) -> &[usize] {
+        &self.targets
+    }
+
+    /// The page call both wrapper kinds share: abstract `tokens`, let
+    /// `scan` push word positions, map them back to token indices — an
+    /// ambiguous match's positions too, so every unique-target surface
+    /// answers in token space.
+    pub(crate) fn page_call<S>(
+        &mut self,
+        alphabet: &Alphabet,
+        cfg: &SeqConfig,
+        tokens: &[Token],
+        scan: S,
+    ) -> Result<&[usize], WrapperError>
+    where
+        S: FnOnce(&[Symbol], &mut ExtractScratch, &mut Vec<usize>) -> Result<(), ExtractFailure>,
+    {
+        abstract_page_into(alphabet, cfg, tokens, self);
+        self.targets.clear();
+        let back = &self.back;
+        match scan(&self.word, &mut self.extract, &mut self.targets) {
+            Ok(()) => {
+                for t in &mut self.targets {
+                    *t = back[*t];
+                }
+                Ok(&self.targets)
+            }
+            Err(mut failure) => {
+                self.targets.clear();
+                if let ExtractFailure::AmbiguousMatch(positions) = &mut failure {
+                    for p in positions {
+                        *p = back[*p];
+                    }
+                }
+                Err(WrapperError::Extract(failure))
+            }
+        }
+    }
+
+    /// Every candidate position of `extractor` on `tokens`, unique or
+    /// not, as a unary relation binding `var` in token-index space: the
+    /// page call of a query's wrapper and inline-expression sources.
+    pub(crate) fn candidates(
+        &mut self,
+        var: impl Into<String>,
+        alphabet: &Alphabet,
+        cfg: &SeqConfig,
+        extractor: &Extractor,
+        tokens: &[Token],
+    ) -> SpanRelation {
+        abstract_page_into(alphabet, cfg, tokens, self);
+        let spans = extractor.spans_into(&self.word, &mut self.extract);
+        SpanRelation::unary(var, spans.iter().map(|s| Span::unit(self.back[s.start])))
     }
 
     /// A structural fingerprint of a page: the hash of its
@@ -434,20 +478,6 @@ impl WrapperScratch {
             }
         }
         acc
-    }
-
-    /// Disjoint borrows for tuple extraction: read the abstracted word
-    /// and back-map while writing the scan buffers and tuple positions.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn tuple_parts(
-        &mut self,
-    ) -> (&[Symbol], &[usize], &mut ExtractScratch, &mut Vec<usize>) {
-        (
-            &self.word,
-            &self.back,
-            &mut self.extract,
-            &mut self.positions,
-        )
     }
 }
 
@@ -519,9 +549,9 @@ fn memo_resolve(
 /// [`to_names`](rextract_html::seq::to_names) followed by per-entry symbol
 /// lookup (equivalence-tested), but resolves repeated tag names through a
 /// per-page memo and builds no intermediate name strings on the memo-hit
-/// path. Shared by [`Wrapper`] and
-/// [`TupleWrapper`](crate::tuple::TupleWrapper).
-pub(crate) fn abstract_page_into(
+/// path. Shared by the page call and the candidates helper, so both
+/// wrapper kinds and every query source abstract the same way.
+fn abstract_page_into(
     alphabet: &Alphabet,
     cfg: &SeqConfig,
     tokens: &[Token],
@@ -823,6 +853,43 @@ mod tests {
         assert!(rel.is_empty());
     }
 
+    /// A hand-built artifact of `kind` whose `expr` may be ambiguous
+    /// (training never produces one), with its checksum trailer.
+    fn artifact(kind: &str, expr: &str) -> String {
+        let body = format!(
+            "rextract-{kind} v2\nseq include_text=false include_end_tags=true\n\
+             alphabet #other /FORM /P FORM INPUT P\nmaximized false\nexpr {expr}\n"
+        );
+        let sum = crate::persist::fnv1a_64(body.as_bytes());
+        format!("{body}checksum fnv1a {sum:016x}\n")
+    }
+
+    #[test]
+    fn ambiguous_matches_report_token_indices() {
+        // The word drops the text token, so the two INPUTs are word
+        // positions 3 and 4 but tokens 4 and 5.
+        let tokens = rextract_html::tokenizer::tokenize("<p>hello</p><form><input><input></form>");
+        let want = WrapperError::Extract(ExtractFailure::AmbiguousMatch(vec![4, 5]));
+        let single = Wrapper::import(&artifact("wrapper", ".* <INPUT> .*")).unwrap();
+        assert_eq!(single.extract_target(&tokens).unwrap_err(), want);
+        let tuple = crate::tuple::TupleWrapper::import(&artifact(
+            "tuple-wrapper",
+            ".* <FORM> .* <INPUT> .*",
+        ))
+        .unwrap();
+        assert_eq!(tuple.extract_targets(&tokens).unwrap_err(), want);
+        // A failed page call leaves no stale targets behind.
+        let pages = train_pages(2);
+        let w = Wrapper::train(&pages, WrapperConfig::default()).unwrap();
+        let mut scratch = WrapperScratch::new();
+        assert_eq!(
+            w.extract_page(&pages[0].tokens, &mut scratch),
+            Ok(&[pages[0].target][..])
+        );
+        assert!(single.extract_page(&tokens, &mut scratch).is_err());
+        assert!(scratch.targets().is_empty());
+    }
+
     #[test]
     fn scratch_reuse_matches_fresh_extraction() {
         let pages = train_pages(13);
@@ -899,12 +966,6 @@ mod tests {
             scratch.skeleton_signature(&cfg, &open_only),
             scratch.skeleton_signature(&cfg, &balanced)
         );
-    }
-
-    #[test]
-    fn trained_wrapper_reports_current_format_version() {
-        let w = Wrapper::train(&train_pages(2), WrapperConfig::default()).unwrap();
-        assert_eq!(w.format_version(), crate::persist::FORMAT_VERSION);
     }
 
     #[test]

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Daemon smoke test: boot `rextract serve` on an ephemeral port, check
-# /healthz, train + install a wrapper, run one extraction over HTTP, and
-# shut down gracefully. Uses bash's /dev/tcp so it needs no curl.
+# /healthz, train + install a wrapper, run one extraction over HTTP,
+# check that POST /pipeline and `rextract pipeline` emit the same bytes,
+# and shut down gracefully. Uses bash's /dev/tcp so it needs no curl.
 # Usage: scripts/serve_smoke.sh [path-to-rextract-binary]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -59,6 +60,21 @@ HTML
 http POST '/extract?wrapper=smoke' "$WORK/page.html" | tee "$WORK/extract.txt"
 grep -q '200 OK' "$WORK/extract.txt"
 grep -q '"position":' "$WORK/extract.txt"
+
+echo "== serve smoke: POST /pipeline and rextract pipeline agree byte for byte =="
+cat >"$WORK/table.html" <<'HTML'
+<table><tr><td><h1>Shop</h1></td></tr><tr><td><form><input><input><input></form></td></tr></table>
+HTML
+echo '<blink>nothing here</blink>' >"$WORK/unroutable.html"
+printf '%s\n' "$WORK/page.html" "$WORK/table.html" "$WORK/unroutable.html" >"$WORK/manifest.txt"
+"$BIN" pipeline --wrappers "$WORK" --manifest "$WORK/manifest.txt" >"$WORK/cli.ndjson"
+http POST /pipeline "$WORK/manifest.txt" >"$WORK/daemon.txt"
+grep -q '200 OK' "$WORK/daemon.txt"
+tail -n +2 "$WORK/daemon.txt" >"$WORK/daemon.ndjson"
+grep -q '"error":"unrouted"' "$WORK/cli.ndjson"
+cmp "$WORK/cli.ndjson" "$WORK/daemon.ndjson" \
+    || { echo "surfaces disagree"; diff "$WORK/cli.ndjson" "$WORK/daemon.ndjson"; exit 1; }
+echo "$(wc -l <"$WORK/cli.ndjson") identical lines"
 
 echo "== serve smoke: pipelined pair (two requests, one write) =="
 # Stage both requests in a file and `cat` it to the socket: bash's
