@@ -72,7 +72,6 @@ impl Hasher for FxHasher {
 
 pub(crate) type FxBuildHasher = BuildHasherDefault<FxHasher>;
 pub(crate) type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
-pub(crate) type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -13,10 +13,10 @@
 //!   languages over compatible alphabets intern to the same id.
 //! * `Lang` implements [`Hash`] (by id), so languages key hash maps.
 //!
-//! `Lang` is `Send + Sync` and freely shared across threads: resolving a
-//! handle back to its DFA reads the interner's append-only table without
-//! locking, and the op cache behind the algebra is sharded, so concurrent
-//! computations on unrelated languages rarely touch the same lock.
+//! `Lang` is `Send + Sync` and freely shared across threads: the handle
+//! carries its DFA, so reading it takes no lock, and the algebra takes
+//! the store's one lock only around cache lookups and inserts, never
+//! around automaton construction.
 //!
 //! This is the type the extraction layer computes with; raw [`Dfa`]/
 //! [`Nfa`](crate::nfa::Nfa) stay internal to hot paths.

@@ -71,7 +71,7 @@ pub mod prelude {
     pub use crate::lang::Lang;
     pub use crate::nfa::Nfa;
     pub use crate::regex::Regex;
-    pub use crate::store::{ShardStats, Store, StoreStats};
+    pub use crate::store::{Store, StoreStats};
     pub use crate::symbol::Symbol;
 }
 
@@ -81,5 +81,5 @@ pub use intern::LangId;
 pub use lang::Lang;
 pub use nfa::Nfa;
 pub use regex::Regex;
-pub use store::{ShardStats, Store, StoreStats};
+pub use store::{Store, StoreStats};
 pub use symbol::Symbol;

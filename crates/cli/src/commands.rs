@@ -109,7 +109,7 @@ USAGE:
       produce byte-identical output; nested-loop is the oracle).
 
   rextract serve [--addr HOST:PORT] [--workers N] [--queue N]
-                 [--batch-max N] [--wrapper-dir DIR] [--op-cache-cap N|none]
+                 [--batch-max N] [--wrapper-dir DIR]
                  [--keepalive-ms N] [--deadline-ms N]
                  [--drain-timeout-ms N] [--drift-window N]
                  [--drift-threshold RATE] [--drift-strict]
@@ -127,9 +127,9 @@ USAGE:
       exponential backoff from --repair-backoff-ms. --drift-strict
       turns best-effort serving of a drifted wrapper into 503s.
       Defaults: 127.0.0.1:7878, workers = min(cores, 8), queue 128,
-      batch max 32, op cache bounded at 16384 entries, keep-alive
-      5000 ms, request deadline 10000 ms, drain timeout 5000 ms,
-      drift window 32, drift threshold 0.9, repair backoff 200 ms.
+      batch max 32, keep-alive 5000 ms, request deadline 10000 ms,
+      drain timeout 5000 ms, drift window 32, drift threshold 0.9,
+      repair backoff 200 ms.
       --fault arms a failpoint (e.g. 'extract.slow=prob(0.3,42):sleep(30)';
       repeatable) and needs a binary built with --features failpoints.
 
@@ -139,9 +139,8 @@ USAGE:
 OPTIONS:
   --stats
       After any command, print the interned language store's cache
-      counters (hits, misses, interned languages) to stderr, with
-      per-shard size and lock-contention columns for the sharded
-      op cache.
+      counters (hits, misses, interned languages, evictions) to
+      stderr, with one hits/misses line per operation.
 ";
 
 fn need<'a>(args: &'a [String], n: usize, what: &str) -> Result<&'a str, String> {
@@ -150,8 +149,20 @@ fn need<'a>(args: &'a [String], n: usize, what: &str) -> Result<&'a str, String>
         .ok_or_else(|| format!("missing argument: {what}\n\n{USAGE}"))
 }
 
+/// Reject arguments past the `n` a fixed-arity command takes, so a
+/// typo'd flag fails instead of being dropped.
+fn at_most(args: &[String], n: usize) -> Result<(), String> {
+    match args.get(n) {
+        Some(extra) => Err(format!(
+            "unexpected argument {extra:?}; try `rextract help`"
+        )),
+        None => Ok(()),
+    }
+}
+
 /// `rextract tokenize <file.html>`
 pub fn tokenize(args: &[String]) -> Result<(), String> {
+    at_most(args, 1)?;
     let path = need(args, 0, "<file.html>")?;
     let html = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     let entries = to_names(&html_tokenize(&html), &SeqConfig::tags_only());
@@ -170,6 +181,7 @@ fn parse_expr(args: &[String]) -> Result<(Alphabet, ExtractionExpr), String> {
 
 /// `rextract analyze <alphabet> <expression>`
 pub fn analyze(args: &[String]) -> Result<(), String> {
+    at_most(args, 2)?;
     let (sigma, expr) = parse_expr(args)?;
     println!("expression : {}", expr.to_text());
     match expr.ambiguity_witness() {
@@ -203,6 +215,7 @@ pub fn analyze(args: &[String]) -> Result<(), String> {
 
 /// `rextract maximize <alphabet> <expression>`
 pub fn maximize(args: &[String]) -> Result<(), String> {
+    at_most(args, 2)?;
     let (_sigma, expr) = parse_expr(args)?;
     let out = maximize_one_sided(&expr).map_err(|e| e.to_string())?;
     println!("{}", out.to_text());
@@ -211,6 +224,7 @@ pub fn maximize(args: &[String]) -> Result<(), String> {
 
 /// `rextract extract <alphabet> <expression> <document>`
 pub fn extract(args: &[String]) -> Result<(), String> {
+    at_most(args, 3)?;
     let (sigma, expr) = parse_expr(args)?;
     let doc_text = need(args, 2, "<document>")?;
     let doc = sigma
@@ -349,6 +363,7 @@ pub fn wrapper_train(args: &[String]) -> Result<(), String> {
 /// `rextract wrapper-extract <in.wrapper> <page.html>`
 pub fn wrapper_extract(args: &[String]) -> Result<(), String> {
     use rextract_wrapper::wrapper::Wrapper;
+    at_most(args, 2)?;
     let wrapper_path = need(args, 0, "<in.wrapper>")?;
     let page_path = need(args, 1, "<page.html>")?;
     let artifact = std::fs::read_to_string(wrapper_path)
@@ -610,7 +625,7 @@ pub fn query(args: &[String]) -> Result<(), String> {
 }
 
 /// `rextract serve [--addr HOST:PORT] [--workers N] [--queue N]
-/// [--wrapper-dir DIR] [--op-cache-cap N|none] [--keepalive-ms N]`
+/// [--wrapper-dir DIR] [--keepalive-ms N]`
 pub fn serve(args: &[String]) -> Result<(), String> {
     use rextract_serve::ServeConfig;
     let mut config = ServeConfig::default();
@@ -642,14 +657,6 @@ pub fn serve(args: &[String]) -> Result<(), String> {
                     .max(1)
             }
             "--wrapper-dir" => config.wrapper_dir = Some(value("directory")?.into()),
-            "--op-cache-cap" => {
-                let v = value("entry count or `none`")?;
-                config.op_cache_capacity = if v == "none" {
-                    None
-                } else {
-                    Some(v.parse().map_err(|e| format!("--op-cache-cap: {e}"))?)
-                };
-            }
             "--keepalive-ms" => {
                 config.keepalive_timeout = std::time::Duration::from_millis(
                     value("milliseconds")?
@@ -716,7 +723,8 @@ pub fn serve(args: &[String]) -> Result<(), String> {
 }
 
 /// `rextract demo`
-pub fn demo(_args: &[String]) -> Result<(), String> {
+pub fn demo(args: &[String]) -> Result<(), String> {
+    at_most(args, 0)?;
     let page1 = "P H1 /H1 P FORM INPUT <INPUT> BR INPUT INPUT /FORM /P";
     let page2 = "TABLE TR TH IMG /TH /TR TR TD H1 /H1 /TD /TR TR TD A /A /TD /TR \
                  TR TD FORM INPUT <INPUT> INPUT BR INPUT /FORM /TD /TR /TABLE";
@@ -736,6 +744,11 @@ mod tests {
         assert!(analyze(&["p q".into(), "p* <p> p* q".into()]).is_ok());
         assert!(analyze(&["p q".into(), "<z>".into()]).is_err());
         assert!(analyze(&["p q".into()]).is_err());
+        let typo = analyze(&["p q".into(), "(q p)* <p> .*".into(), "--stat".into()]);
+        assert_eq!(
+            typo.unwrap_err(),
+            "unexpected argument \"--stat\"; try `rextract help`"
+        );
     }
 
     #[test]
@@ -750,6 +763,8 @@ mod tests {
         assert!(extract(&["p q".into(), "[^p]* <p> .*".into(), "q q p q".into()]).is_ok());
         assert!(extract(&["p q".into(), "[^p]* <p> .*".into(), "q q".into()]).is_err());
         assert!(extract(&["p q".into(), "[^p]* <p> .*".into(), "q z".into()]).is_err());
+        let extra = ["p q", "q* <p> .*", "q q p", "extra", "junk"].map(String::from);
+        assert!(extract(&extra).unwrap_err().contains("\"extra\""));
     }
 
     #[test]

@@ -122,11 +122,6 @@ impl Obj<'_> {
         self
     }
 
-    pub fn null(mut self, name: &str) -> Self {
-        self.key(name).push_str("null");
-        self
-    }
-
     /// A nested object; `f` writes its fields.
     pub fn obj(mut self, name: &str, f: impl FnOnce(Obj<'_>) -> Obj<'_>) -> Self {
         write_object(self.key(name), f);
@@ -497,14 +492,13 @@ mod tests {
                 .num("n", 3)
                 .bool("ok", true)
                 .float("rate", 0.9)
-                .null("cap")
                 .nums("empty", [])
                 .strs("names", ["a", "b"])
                 .arr("pairs", |a| a.arr(|p| p.num(3).num(9)).obj(|o| o))
         });
         assert_eq!(
             body,
-            r#"{"na\"me":"x\"y","n":3,"ok":true,"rate":0.900,"cap":null,"empty":[],"names":["a","b"],"pairs":[[3,9],{}]}"#
+            r#"{"na\"me":"x\"y","n":3,"ok":true,"rate":0.900,"empty":[],"names":["a","b"],"pairs":[[3,9],{}]}"#
         );
         // Appends: what the buffer held before is kept.
         let mut out = String::from("x");

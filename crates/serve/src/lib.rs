@@ -24,10 +24,6 @@
 //!   replacements via `POST /wrappers/{name}`, and rescans on
 //!   `POST /reload` — per-artifact validation (including the persist
 //!   format version) keeps one stale file from taking the daemon down.
-//! * **Bounded store.** [`ServeConfig::op_cache_capacity`] wires the
-//!   language store's generation-based eviction
-//!   ([`rextract_automata::Store::set_op_cache_capacity`]) so the op
-//!   cache cannot grow without bound over weeks of traffic.
 //! * **Live metrics.** `GET /metrics` reports per-endpoint request
 //!   counts, latency histograms with p50/p90/p99, queue depth, rejected
 //!   connections, epoll wakeups, pipelined requests, the batch-size
@@ -121,9 +117,6 @@ pub struct ServeConfig {
     /// Directory of `*.wrapper` artifacts to load at boot and on
     /// `POST /reload`; hot installs persist back here.
     pub wrapper_dir: Option<PathBuf>,
-    /// Entry bound for the language store's op cache (`None` =
-    /// unbounded). The daemon default keeps long runs memory-safe.
-    pub op_cache_capacity: Option<usize>,
     /// Idle keep-alive read timeout per connection.
     pub keepalive_timeout: Duration,
     /// Per-request wall-clock budget for `/extract`; past it the handler
@@ -162,7 +155,6 @@ impl Default for ServeConfig {
             queue_capacity: 128,
             batch_max: 32,
             wrapper_dir: None,
-            op_cache_capacity: Some(16_384),
             keepalive_timeout: Duration::from_secs(5),
             request_deadline: Duration::from_secs(10),
             drain_timeout: Duration::from_millis(5000),

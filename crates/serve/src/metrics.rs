@@ -667,31 +667,21 @@ impl Default for Metrics {
 /// Language-store counters as JSON fields (the serve-side view of
 /// `StoreStats`; the automata crate stays presentation-free).
 fn store_stats_json<'a>(s: &StoreStats, o: Obj<'a>) -> Obj<'a> {
-    let o = o
-        .num("interned", s.interned)
+    o.num("interned", s.interned)
         .num("dedup_hits", s.dedup_hits)
         .num("op_cache_size", s.op_cache_size)
         .num("hits", s.hits())
         .num("misses", s.misses())
         .float("hit_rate", s.hit_rate())
         .num("evictions", s.evictions)
-        .num("sweeps", s.sweeps)
-        .num("re_misses", s.re_misses)
-        .num("shard_count", s.shards.len() as u64)
-        .num("shard_contended", s.contended())
-        .nums("shard_sizes", s.shards.iter().map(|sh| sh.size));
-    let o = match s.op_cache_capacity {
-        Some(cap) => o.num("op_cache_capacity", cap),
-        None => o.null("op_cache_capacity"),
-    };
-    o.obj("per_op", |o| {
-        s.per_op
-            .iter()
-            .filter(|op| op.hits + op.misses > 0)
-            .fold(o, |o, op| {
-                o.obj(op.name, |o| o.num("hits", op.hits).num("misses", op.misses))
-            })
-    })
+        .obj("per_op", |o| {
+            s.per_op
+                .iter()
+                .filter(|op| op.hits + op.misses > 0)
+                .fold(o, |o, op| {
+                    o.obj(op.name, |o| o.num("hits", op.hits).num("misses", op.misses))
+                })
+        })
 }
 
 #[cfg(test)]

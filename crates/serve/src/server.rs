@@ -167,10 +167,9 @@ impl ServerHandle {
     }
 }
 
-/// Boot a daemon per `config`. Binds, loads the wrapper directory,
-/// applies the op-cache bound, and spawns event loop + workers.
+/// Boot a daemon per `config`. Binds, loads the wrapper directory, and
+/// spawns event loop + workers.
 pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
-    Store::set_op_cache_capacity(config.op_cache_capacity);
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;

@@ -44,7 +44,6 @@ fn chaos_config() -> ServeConfig {
         workers: 2,
         queue_capacity: 64,
         wrapper_dir: None,
-        op_cache_capacity: Some(4096),
         keepalive_timeout: Duration::from_millis(500),
         ..ServeConfig::default()
     }
@@ -380,21 +379,16 @@ fn accept_failures_degrade_not_wedge() {
     handle.join();
 }
 
-/// A panic injected into the store's eviction sweep poisons one shard of
-/// the process-global op cache. The daemon must degrade — the one
-/// computation dies with its thread — rather than wedge: `/metrics`
-/// (lock-free stats) keeps answering, extraction keeps returning ground
-/// truth, and later store traffic through the recovered shard is still
-/// correct.
+/// A panic injected into a store insert poisons the process-global
+/// store's lock. The daemon must degrade — the one computation dies with
+/// its thread — rather than wedge: `/metrics` (which reads the store's
+/// counters) keeps answering, extraction keeps returning ground truth,
+/// and later store traffic through the recovered lock is still correct.
 #[test]
-fn store_sweep_panic_degrades_not_wedges() {
+fn store_insert_panic_degrades_not_wedges() {
     use rextract_automata::{Alphabet, Lang, Store};
     let _faults = arm_faults();
-    let mut cfg = chaos_config();
-    // A tiny bound leaves most shards with a zero share, so almost every
-    // cold insert runs an eviction sweep.
-    cfg.op_cache_capacity = Some(2);
-    let handle = serve(cfg).unwrap();
+    let handle = serve(chaos_config()).unwrap();
     let addr = handle.addr();
 
     let (artifact, mut gen) = trained_artifact(150);
@@ -409,9 +403,9 @@ fn store_sweep_panic_degrades_not_wedges() {
     let want_union = Store::uncached().union(&l1, &l2);
     Store::reset_op_cache();
 
-    faults::configure_spec("store.evict.sweep=once:panic").unwrap();
-    // A worker-shaped thread eats the injected panic mid-sweep, leaving
-    // its shard mutex poisoned.
+    faults::configure_spec("store.memo.insert=once:panic").unwrap();
+    // A worker-shaped thread eats the injected panic mid-insert, leaving
+    // the store's mutex poisoned.
     let (v1, v2) = (l1.clone(), l2.clone());
     let victim = std::thread::spawn(move || {
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -425,15 +419,15 @@ fn store_sweep_panic_degrades_not_wedges() {
     });
     victim.join().unwrap();
     assert!(
-        faults::fires("store.evict.sweep") >= 1,
-        "sweep failpoint never fired"
+        faults::fires("store.memo.insert") >= 1,
+        "insert failpoint never fired"
     );
 
-    // Lock-free stats: /metrics answers even with a poisoned shard.
+    // /metrics answers even with the store's lock poisoned.
     let (status, metrics) = request(addr, "GET", "/metrics", "");
     assert_eq!(status, 200);
-    assert!(metrics.contains("\"shard_count\":"), "{metrics}");
-    // The poisoned shard recovers: the same op through the global store
+    assert!(metrics.contains("\"store\":{"), "{metrics}");
+    // The poisoned lock recovers: the same op through the global store
     // still agrees with uncached ground truth.
     assert_eq!(Store::global().union(&l1, &l2), want_union);
     // And the daemon keeps serving extractions.

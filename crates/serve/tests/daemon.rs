@@ -58,7 +58,6 @@ fn test_config() -> ServeConfig {
         workers: 4,
         queue_capacity: 64,
         wrapper_dir: None,
-        op_cache_capacity: Some(4096),
         keepalive_timeout: Duration::from_millis(500),
         ..ServeConfig::default()
     }
@@ -150,7 +149,6 @@ fn install_extract_metrics_shutdown_end_to_end() {
         "latency histogram empty: {body}"
     );
     assert!(body.contains("\"store\":{"), "{body}");
-    assert!(body.contains("\"op_cache_capacity\":4096"), "{body}");
 
     // Unknown endpoint and wrong method.
     assert_eq!(request(addr, "GET", "/nope", "").0, 404);
@@ -722,6 +720,10 @@ fn metrics_and_healthz_bodies_have_their_full_key_lists() {
         (
             &["wrappers", "search"],
             "pages_ok pages_failed results_empty tuples_emitted health",
+        ),
+        (
+            &["store"],
+            "interned dedup_hits op_cache_size hits misses hit_rate evictions per_op",
         ),
     ];
     for (path, keys) in nested {

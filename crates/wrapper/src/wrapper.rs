@@ -13,7 +13,7 @@
 //! tokens for free).
 
 use crate::site::Page;
-use rextract_automata::{Alphabet, Store, StoreStats, Symbol};
+use rextract_automata::{Alphabet, Symbol};
 use rextract_extraction::extract::{ExtractFailure, ExtractScratch, Extractor};
 use rextract_extraction::{ExtractionError, ExtractionExpr, Span, SpanRelation};
 use rextract_html::seq::{SeqConfig, Vocabulary};
@@ -140,7 +140,6 @@ pub struct Wrapper {
     seq_cfg: SeqConfig,
     maximized: bool,
     revision: u32,
-    train_stats: StoreStats,
 }
 
 impl Wrapper {
@@ -151,7 +150,6 @@ impl Wrapper {
     /// falls back to the unmaximized expression rather than erroring —
     /// a wrapper that works on the training layouts beats no wrapper.
     pub fn train(pages: &[TrainPage], cfg: WrapperConfig) -> Result<Wrapper, WrapperError> {
-        let stats_before = Store::stats();
         // Abstract every page, collecting the vocabulary.
         let mut vocab = Vocabulary::new();
         vocab.observe_name(OTHER);
@@ -189,7 +187,6 @@ impl Wrapper {
             seq_cfg: cfg.seq,
             maximized,
             revision: 1,
-            train_stats: Store::stats().since(&stats_before),
         })
     }
 
@@ -209,7 +206,6 @@ impl Wrapper {
             seq_cfg,
             maximized,
             revision: 1,
-            train_stats: StoreStats::default(),
         }
     }
 
@@ -248,12 +244,6 @@ impl Wrapper {
     /// shared (e.g. by a registry just before wrapping it in an `Arc`).
     pub fn set_revision(&mut self, revision: u32) {
         self.revision = revision;
-    }
-
-    /// Language-store counter deltas accumulated while this wrapper was
-    /// trained (all zeros for wrappers loaded via [`crate::persist`]).
-    pub fn train_store_stats(&self) -> &StoreStats {
-        &self.train_stats
     }
 
     /// Number of symbol classes the compiled extractor scans with —
@@ -668,18 +658,6 @@ mod tests {
             assert_eq!(w.extract_target(&p.tokens).unwrap(), p.target);
         }
         assert!(w.expr().is_unambiguous());
-    }
-
-    #[test]
-    fn training_records_store_activity() {
-        let pages = train_pages(2);
-        let w = Wrapper::train(&pages, WrapperConfig::default()).unwrap();
-        let s = w.train_store_stats();
-        assert!(
-            s.hits() + s.misses() > 0,
-            "training must exercise the language store: {}",
-            s.summary()
-        );
     }
 
     #[test]

@@ -37,11 +37,6 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links -D rustdoc::private_intra_doc_l
   cargo doc --workspace --no-deps --offline --lib \
   --exclude rand --exclude proptest --exclude criterion
 
-echo "== store contention smoke (fast profile) =="
-# Asserts multi-threaded agreement with uncached ground truth; speed
-# numbers are informational in the fast profile.
-STORE_BENCH_FAST=1 cargo bench -q -p bench --bench store_contention
-
 echo "== extraction engine smoke (fast profile) =="
 # Asserts the one-pass sweep and two-pass (and naive, on small
 # documents) agree on every bench corpus document; timings are

@@ -107,19 +107,11 @@ fn equal_languages_intern_to_the_same_id() {
     }
 }
 
-/// Serializes the tests that are sensitive to op-cache capacity: the
-/// concurrency hammer below flips the global bound mid-flight, which
-/// would evict the entries whose cache hits the stats test asserts on.
-static CACHE_CAPACITY_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
 /// StoreStats across a left-filter maximization: counters are monotone,
 /// the first run does real work (misses), and an identical second run is
 /// answered from the cache (fresh hits).
 #[test]
 fn stats_are_monotone_and_plausible_across_a_left_filter_run() {
-    let _serial = CACHE_CAPACITY_LOCK
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
     let a = Alphabet::new(["p", "q", "r"]);
     let expr = ExtractionExpr::parse(&a, "q* p r <p> .*").unwrap();
 
@@ -191,25 +183,20 @@ type WorkItem = (Lang, Lang, (Vec<Lang>, Vec<bool>));
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// The sharded store under real contention: 8 worker threads — half
-    /// replaying one shared op sequence (maximal shard sharing), half on
-    /// disjoint per-thread sequences (concurrent interner growth) — while
-    /// a control thread hammers the lock-free `Store::stats()` and flips
-    /// `set_op_cache_capacity` between a tiny bound, a moderate one, and
-    /// unbounded. Eviction racing the workers may cost recomputation,
-    /// never a wrong `Lang`: every result is checked against uncached
-    /// ground truth computed up front.
+    /// The store under real contention: 8 worker threads — half
+    /// replaying one shared op sequence (racing computations of the same
+    /// entries), half on disjoint per-thread sequences (concurrent
+    /// interner growth) — while a control thread hammers
+    /// `Store::stats()`. Every result is checked against uncached ground
+    /// truth computed up front.
     #[test]
-    fn concurrent_hammer_under_capacity_flips_agrees_with_uncached(
+    fn concurrent_hammer_agrees_with_uncached(
         shared in proptest::collection::vec(arb_regex(3), 2),
         disjoint in proptest::collection::vec(arb_regex(3), 4),
     ) {
         use std::sync::atomic::{AtomicBool, Ordering};
         use std::sync::Arc;
 
-        let _serial = CACHE_CAPACITY_LOCK
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
         let a = alphabet_of(3);
         let truth = Store::uncached();
 
@@ -241,23 +228,12 @@ proptest! {
             let done = Arc::clone(&done);
             std::thread::spawn(move || {
                 let mut last = Store::stats();
-                let caps = [Some(8), Some(64), None];
-                for i in 0.. {
-                    if done.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    Store::set_op_cache_capacity(caps[i % caps.len()]);
+                while !done.load(Ordering::Relaxed) {
                     let now = Store::stats();
-                    // Lock-free snapshot invariants: totals only grow, and
-                    // the shard vector keeps its shape mid-flight.
+                    // Snapshots taken mid-flight: totals only grow.
                     assert!(now.hits() >= last.hits(), "hits went backwards");
                     assert!(now.misses() >= last.misses(), "misses went backwards");
                     assert!(now.interned >= last.interned, "interner shrank");
-                    assert_eq!(
-                        now.shards.len(),
-                        rextract::automata::store::SHARD_COUNT,
-                        "stats must report every shard"
-                    );
                     last = now;
                 }
             })
@@ -289,8 +265,6 @@ proptest! {
         done.store(true, Ordering::Relaxed);
         control.join().expect("control thread panicked");
 
-        // Leave the store unbounded for the rest of the suite.
-        Store::set_op_cache_capacity(None);
         prop_assert_eq!(
             op_results(Store::global(), &shared_work[0].0, &shared_work[0].1),
             truth_results_clone(&shared_work[0].2)
@@ -301,6 +275,32 @@ proptest! {
 /// Clone helper: `(Vec<Lang>, Vec<bool>)` is not `Copy`.
 fn truth_results_clone(r: &(Vec<Lang>, Vec<bool>)) -> (Vec<Lang>, Vec<bool>) {
     (r.0.clone(), r.1.clone())
+}
+
+/// Eight threads released together intern one fresh language: the
+/// store's lock makes the first intern win, so every thread gets the
+/// same id and the same shared DFA.
+#[test]
+fn concurrent_interning_of_one_language_yields_one_id() {
+    use std::sync::{Arc, Barrier};
+    let a = alphabet_of(3);
+    let start = Arc::new(Barrier::new(8));
+    let langs: Vec<Lang> = (0..8)
+        .map(|_| {
+            let (a, start) = (a.clone(), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                Lang::parse(&a, "t2 (t0 t1)* t2 t2").unwrap()
+            })
+        })
+        .collect::<Vec<_>>()
+        .into_iter()
+        .map(|h| h.join().expect("interning thread panicked"))
+        .collect();
+    for l in &langs[1..] {
+        assert_eq!(l.id(), langs[0].id());
+        assert!(std::ptr::eq(l.dfa(), langs[0].dfa()));
+    }
 }
 
 /// A panicking worker thread must not wedge the global store: the daemon

@@ -1,139 +1,63 @@
-//! Eviction tests for the interned language store's bounded op cache.
+//! The language store's op-cache bound.
 //!
-//! These live in their own test binary on purpose: `Store::
-//! set_op_cache_capacity` is process-global, and flipping it mid-flight
-//! would skew the hit/miss assertions in `tests/store.rs`. Within this
-//! binary the tests serialize on a mutex for the same reason.
+//! This lives in its own test binary on purpose: filling the
+//! process-global op cache past its bound clears it, which would skew the
+//! hit/miss assertions in `tests/store.rs`. Within this binary the tests
+//! serialize on a mutex for the same reason.
 
-use proptest::prelude::*;
-use rextract::automata::{Alphabet, Lang, Regex, Store};
-use std::sync::Mutex;
+use rextract::automata::store::OP_CACHE_BOUND;
+use rextract::automata::{Alphabet, Lang, Store};
+use std::sync::{Mutex, MutexGuard};
 
-/// Serializes the tests in this binary: each one reconfigures the
-/// process-global op-cache capacity.
-static CAPACITY_LOCK: Mutex<()> = Mutex::new(());
+/// Serializes the tests in this binary: each one fills the process-global
+/// op cache past its bound and reads the counters the clear leaves.
+static FILL_LOCK: Mutex<()> = Mutex::new(());
 
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    CAPACITY_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+fn lock() -> MutexGuard<'static, ()> {
+    FILL_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn alphabet_of(n: usize) -> Alphabet {
-    Alphabet::new((0..n).map(|i| format!("t{i}")))
-}
-
-fn arb_regex(n: usize) -> impl Strategy<Value = Regex> {
-    let names: Vec<String> = (0..n).map(|i| format!("t{i}")).collect();
-    let leaf = prop_oneof![
-        1 => Just(Regex::Epsilon),
-        6 => proptest::sample::subsequence(names, 1..=2).prop_map(move |picked| {
-            let a = alphabet_of(n);
-            let mut set = a.empty_set();
-            for name in picked {
-                set.insert(a.sym(&name));
-            }
-            Regex::class(set)
-        }),
-    ];
-    leaf.prop_recursive(3, 16, 2, |inner| {
-        prop_oneof![
-            3 => (inner.clone(), inner.clone())
-                .prop_map(|(x, y)| Regex::concat([x, y])),
-            3 => (inner.clone(), inner.clone()).prop_map(|(x, y)| Regex::alt([x, y])),
-            2 => inner.clone().prop_map(Regex::star),
-            1 => (inner.clone(), inner.clone()).prop_map(|(x, y)| x.diff(y)),
-        ]
-    })
-}
-
-/// All binary/unary ops plus decision procedures through both paths; the
-/// two must agree operation by operation even while the cached path is
-/// evicting (an evicted entry is recomputed from the same canonical DFAs,
-/// so agreement is exactly "eviction is semantically invisible").
-fn check_ops_agree(a: &Alphabet, x: &Regex, y: &Regex) {
-    let cached = Store::global();
-    let uncached = Store::uncached();
-    let lx = Lang::from_regex(a, x);
-    let ly = Lang::from_regex(a, y);
-    assert_eq!(cached.union(&lx, &ly), uncached.union(&lx, &ly));
-    assert_eq!(cached.intersect(&lx, &ly), uncached.intersect(&lx, &ly));
-    assert_eq!(cached.difference(&lx, &ly), uncached.difference(&lx, &ly));
-    assert_eq!(cached.concat(&lx, &ly), uncached.concat(&lx, &ly));
-    assert_eq!(cached.complement(&lx), uncached.complement(&lx));
-    assert_eq!(cached.star(&lx), uncached.star(&lx));
-    assert_eq!(cached.reversed(&lx), uncached.reversed(&lx));
-    assert_eq!(
-        cached.right_quotient(&lx, &ly),
-        uncached.right_quotient(&lx, &ly)
-    );
-    assert_eq!(
-        cached.left_quotient(&lx, &ly),
-        uncached.left_quotient(&lx, &ly)
-    );
-    assert_eq!(cached.is_empty(&lx), uncached.is_empty(&lx));
-    assert_eq!(cached.is_universal(&lx), uncached.is_universal(&lx));
-    assert_eq!(cached.is_subset(&lx, &ly), uncached.is_subset(&lx, &ly));
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(40))]
-
-    /// A pathologically tiny cache (8 entries — every case sweeps) must
-    /// still agree with the uncached store on every operation.
-    #[test]
-    fn eviction_is_semantically_invisible(x in arb_regex(3), y in arb_regex(3)) {
-        let _guard = lock();
-        Store::set_op_cache_capacity(Some(8));
-        check_ops_agree(&alphabet_of(3), &x, &y);
-        prop_assert!(
-            Store::stats().op_cache_size <= 8,
-            "cache exceeded its bound: {}",
-            Store::stats().summary()
-        );
-        Store::set_op_cache_capacity(None);
-    }
-}
-
-/// Evictions fire once the configured bound is exceeded, the stats
-/// counters record them, and the cache never ends a sweep above capacity.
-#[test]
-fn evictions_fire_at_the_configured_bound() {
-    let _guard = lock();
-    let a = alphabet_of(4);
-    const CAP: usize = 16;
-    Store::set_op_cache_capacity(Some(CAP));
-    let before = Store::stats();
-
-    // Far more distinct operations than CAP: pairwise ops over a family
-    // of distinct languages t_i t_j* (i≠j).
-    let langs: Vec<Lang> = (0..4)
-        .flat_map(|i| (0..4).filter(move |&j| j != i).map(move |j| (i, j)))
-        .map(|(i, j)| Lang::parse(&a, &format!("t{i} t{j}*")).unwrap())
+/// Decide `x ⊆ y` for every pair of 130 distinct literal languages through
+/// the cached store: more distinct keys than the bound, so the insert that
+/// finds the cache full clears it.
+fn fill_past_bound() {
+    let a = Alphabet::new(["t0", "t1"]);
+    // 130 distinct words: 100..230 in 8 binary digits.
+    let langs: Vec<Lang> = (100u32..230)
+        .map(|n| {
+            let word: Vec<_> = (0..8)
+                .rev()
+                .map(|bit| a.sym(if (n >> bit) & 1 == 1 { "t1" } else { "t0" }))
+                .collect();
+            Lang::literal(&a, &word)
+        })
         .collect();
+    assert!(langs.len() * langs.len() > OP_CACHE_BOUND);
     let s = Store::global();
     for x in &langs {
         for y in &langs {
-            let _ = s.union(x, y);
-            let _ = s.intersect(x, y);
+            assert_eq!(s.is_subset(x, y), x == y);
         }
     }
+}
 
-    let after = Store::stats().since(&before);
-    assert!(
-        after.evictions > 0,
-        "no evictions despite {} misses against a {CAP}-entry bound: {}",
-        after.misses(),
-        after.summary()
-    );
-    assert!(
-        after.sweeps > 0,
-        "evictions without sweeps: {}",
-        after.summary()
-    );
+/// Once more distinct keys than the bound have been cached, the insert
+/// that finds the cache full clears it, the stats count the dropped
+/// entries as evictions, and the cache ends below the bound.
+#[test]
+fn evictions_fire_at_the_configured_bound() {
+    let _guard = lock();
+    let before = Store::stats();
+    fill_past_bound();
     let stats = Store::stats();
-    assert_eq!(stats.op_cache_capacity, Some(CAP as u64));
     assert!(
-        stats.op_cache_size <= CAP as u64,
-        "cache ended above its bound: {}",
+        stats.since(&before).evictions >= OP_CACHE_BOUND as u64,
+        "a full cache must clear: {}",
+        stats.summary()
+    );
+    assert!(
+        stats.op_cache_size < OP_CACHE_BOUND as u64,
+        "the cache ended at its bound: {}",
         stats.summary()
     );
     // The summary surfaces the eviction telemetry for operators.
@@ -142,64 +66,61 @@ fn evictions_fire_at_the_configured_bound() {
         summary.contains("evicted"),
         "summary hides evictions: {summary}"
     );
-    Store::set_op_cache_capacity(None);
 }
 
-/// Re-miss accounting: repeating the same workload against a cache too
-/// small to hold it records misses on keys that were previously evicted.
+/// Every operation, cached, before and after a clear of the full cache,
+/// equals the uncached result: a cleared entry is recomputed from the
+/// same canonical DFAs, so the clear is semantically invisible.
 #[test]
-fn re_misses_are_detected_for_thrashing_workloads() {
+fn eviction_is_semantically_invisible() {
     let _guard = lock();
-    let a = alphabet_of(4);
-    Store::set_op_cache_capacity(Some(4));
-    let before = Store::stats();
-    let langs: Vec<Lang> = (0..4)
-        .map(|i| Lang::parse(&a, &format!("t{i}*")).unwrap())
-        .collect();
-    let s = Store::global();
-    // Two passes over a working set much larger than the bound: the
-    // second pass re-misses entries the first pass had cached and lost.
-    for _ in 0..2 {
+    let a = Alphabet::new(["t0", "t1", "t2"]);
+    let langs: Vec<Lang> = [
+        "~",
+        "t0",
+        "t0* t1",
+        "(t1 t0)*",
+        "t2 (t0 | t1)* t2",
+        "(t0 | ~) t1+",
+        ".* t2 .*",
+    ]
+    .iter()
+    .map(|r| Lang::parse(&a, r).unwrap())
+    .collect();
+    let cached = Store::global();
+    let uncached = Store::uncached();
+    // Each (x, y) pair's results through all binary and unary ops and the
+    // decision procedures.
+    let run = |s: Store| -> Vec<(Vec<Lang>, Vec<bool>)> {
+        let mut out = Vec::new();
         for x in &langs {
             for y in &langs {
-                let _ = s.concat(x, y);
-                let _ = s.difference(x, y);
+                let langs = vec![
+                    s.union(x, y),
+                    s.intersect(x, y),
+                    s.difference(x, y),
+                    s.concat(x, y),
+                    s.complement(x),
+                    s.star(x),
+                    s.reversed(x),
+                    s.right_quotient(x, y),
+                    s.left_quotient(x, y),
+                ];
+                let decisions = vec![s.is_empty(x), s.is_universal(x), s.is_subset(x, y)];
+                out.push((langs, decisions));
             }
         }
-    }
-    let after = Store::stats().since(&before);
-    assert!(
-        after.re_misses > 0,
-        "thrashing workload recorded no re-misses: {}",
-        after.summary()
-    );
-    Store::set_op_cache_capacity(None);
-}
+        out
+    };
 
-/// Shrinking the capacity below the current population evicts immediately;
-/// clearing the bound lets the cache grow again.
-#[test]
-fn capacity_changes_apply_immediately() {
-    let _guard = lock();
-    let a = alphabet_of(3);
-    Store::set_op_cache_capacity(None);
-    let langs: Vec<Lang> = (0..3)
-        .map(|i| Lang::parse(&a, &format!("t{i} t{i}*")).unwrap())
-        .collect();
-    let s = Store::global();
-    for x in &langs {
-        for y in &langs {
-            let _ = s.union(x, y);
-        }
-    }
-    assert!(Store::stats().op_cache_size >= 3);
-    Store::set_op_cache_capacity(Some(2));
+    let expected = run(uncached);
+    assert_eq!(run(cached), expected, "cached before the clear");
+    let before = Store::stats();
+    fill_past_bound();
     assert!(
-        Store::stats().op_cache_size <= 2,
-        "shrinking the bound must evict immediately: {}",
+        Store::stats().since(&before).evictions > 0,
+        "the fill did not clear the cache: {}",
         Store::stats().summary()
     );
-    assert_eq!(Store::op_cache_capacity(), Some(2));
-    Store::set_op_cache_capacity(None);
-    assert_eq!(Store::op_cache_capacity(), None);
+    assert_eq!(run(cached), expected, "cached after the clear");
 }
