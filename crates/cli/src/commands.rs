@@ -113,7 +113,7 @@ USAGE:
                  [--keepalive-ms N] [--deadline-ms N]
                  [--drain-timeout-ms N] [--drift-window N]
                  [--drift-threshold RATE] [--drift-strict]
-                 [--repair-backoff-ms N] [--fault NAME=SPEC]...
+                 [--fault NAME=SPEC]...
       Run the extraction daemon: POST /extract, POST /wrappers/{name},
       GET /healthz, GET /metrics, POST /shutdown. Loads *.wrapper
       artifacts from --wrapper-dir at boot and on POST /reload.
@@ -124,12 +124,11 @@ USAGE:
       sliding window of --drift-window pages (0 disables); past
       --drift-threshold the wrapper is flagged Degraded and the daemon
       retrains it online from retained evidence pages, retrying with
-      exponential backoff from --repair-backoff-ms. --drift-strict
-      turns best-effort serving of a drifted wrapper into 503s.
+      exponential backoff that starts at 200 ms. --drift-strict turns
+      best-effort serving of a drifted wrapper into 503s.
       Defaults: 127.0.0.1:7878, workers = min(cores, 8), queue 128,
       batch max 32, keep-alive 5000 ms, request deadline 10000 ms,
-      drain timeout 5000 ms, drift window 32, drift threshold 0.9,
-      repair backoff 200 ms.
+      drain timeout 5000 ms, drift window 32, drift threshold 0.9.
       --fault arms a failpoint (e.g. 'extract.slow=prob(0.3,42):sleep(30)';
       repeatable) and needs a binary built with --features failpoints.
 
@@ -686,13 +685,6 @@ pub fn serve(args: &[String]) -> Result<(), String> {
                 config.drift_threshold = t;
             }
             "--drift-strict" => config.drift_strict = true,
-            "--repair-backoff-ms" => {
-                config.repair_backoff = std::time::Duration::from_millis(
-                    value("milliseconds")?
-                        .parse()
-                        .map_err(|e| format!("--repair-backoff-ms: {e}"))?,
-                )
-            }
             "--drain-timeout-ms" => {
                 config.drain_timeout = std::time::Duration::from_millis(
                     value("milliseconds")?
@@ -1088,6 +1080,8 @@ mod tests {
         assert!(serve(&["--workers".into()]).is_err());
         assert!(serve(&["--deadline-ms".into(), "abc".into()]).is_err());
         assert!(serve(&["--drain-timeout-ms".into()]).is_err());
+        let err = serve(&["--repair-backoff-ms".into(), "5".into()]).unwrap_err();
+        assert!(err.contains("unknown flag"), "{err}");
         // --fault: rejected outright without the feature, and a malformed
         // spec is rejected with it — either way serve() returns early.
         let err = serve(&["--fault".into(), "not-a-spec".into()]).unwrap_err();

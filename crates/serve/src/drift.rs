@@ -1,15 +1,19 @@
-//! Online wrapper repair: evidence retention and supervisor-owned
-//! retraining.
+//! The wrapper lifecycle: one table of every wrapper's serving state, and
+//! the supervisor-owned online repair that acts on it.
 //!
-//! The drift detector ([`crate::metrics`]) flags a wrapper `Degraded`
-//! when its sliding-window failure or empty-result rate crosses the
-//! configured threshold. This module is what the daemon *does* about it
-//! (after Ferrara & Baumgartner's adaptable-wrapper loop):
+//! [`Lifecycle`] keeps each wrapper's page tallies, drift window, health,
+//! repair evidence and repair attempts in one entry behind one mutex: the
+//! per-page observer takes it once per page ([`Lifecycle::observe`]), and
+//! each health transition is one critical section. A wrapper turns
+//! `Degraded` when its failure or empty-result rate over a full window
+//! reaches the threshold; what the daemon then does follows Ferrara &
+//! Baumgartner's adaptable-wrapper loop:
 //!
-//! 1. **Evidence.** While a wrapper serves, the [`RepairHub`] retains a
-//!    bounded ring of recent *successful* pages (each one a
-//!    self-labeled training sample: the served extraction result is the
-//!    label) and recent *failing* pages (the drift witnesses).
+//! 1. **Evidence.** The first 8 pages the serving revision extracted are
+//!    kept as self-labeled samples (the served extraction result is the
+//!    label), and the last 16 failing pages as the drift witnesses. Any
+//!    page a revision served labels it as well as any other, so the good
+//!    ring fills once per revision and a steady-state page copies nothing.
 //! 2. **Relabel.** Artifacts carry no training samples, so the repair
 //!    recovers labels for the failing pages by sequence alignment: the
 //!    LCS between a failing page's tag sequence and a known-good page's
@@ -21,147 +25,353 @@
 //!    pages; the candidate must still extract every good page to its
 //!    known target *and* succeed on held-back failing pages it never
 //!    trained on, or the repair is rejected.
-//! 4. **Install.** The healed artifact goes through
-//!    [`Registry::install`]'s crash-safe path (checksummed v2 artifact,
-//!    tmp→fsync→rename, atomic `Arc` swap) and bumps the wrapper's
-//!    install revision, so pipeline provenance records the heal.
+//! 4. **Install.** An attempt repairs one revision, the one serving when
+//!    [`Lifecycle::begin_repair`] started it: the healed artifact goes
+//!    through [`Registry::install_over`]'s crash-safe path (checksummed v2
+//!    artifact, tmp→fsync→rename, atomic `Arc` swap) only while that
+//!    revision still serves. A manual install in the meantime wins, and
+//!    [`Lifecycle::finish_repair`] drops the attempt's verdict.
 //!
 //! The repair runs on a supervisor-owned thread: a panic mid-repair
 //! (e.g. the `serve.repair.train` failpoint) leaves the old wrapper
 //! serving untouched, and the attempt is retried with exponential
-//! backoff until [`MAX_REPAIR_ATTEMPTS`], after which the wrapper is
-//! `Quarantined` (still serving best-effort; a manual install resets it).
+//! backoff (200 ms, doubling) until [`MAX_REPAIR_ATTEMPTS`], after which
+//! the wrapper is `Quarantined` (still serving best-effort; a manual
+//! install resets it).
+//!
+//! Lock order: install lock ([`Registry::install_with`]) → lifecycle lock
+//! → registry read lock ([`Lifecycle::begin_repair`]), never the reverse.
 
+use rextract_corpus::PageEvent;
+use rextract_extraction::json::Obj;
 use rextract_faults::fail_point;
 use rextract_html::seq::{to_names, SeqConfig};
 use rextract_html::token::Token;
 use rextract_learn::align::{lcs, leftmost_embedding};
 use rextract_wrapper::wrapper::{TrainPage, Wrapper, WrapperConfig};
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use rextract_wrapper::PageOutcome;
+use std::collections::{BTreeMap, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
+use crate::metrics::{table, Counter, Metrics};
 use crate::registry::Registry;
 
-/// Successful pages retained per wrapper as self-labeled samples.
+/// Successful pages kept per revision as self-labeled samples.
 const GOOD_CAP: usize = 8;
 /// Failing pages retained per wrapper as repair evidence.
 const FAILING_CAP: usize = 16;
 /// Repair attempts before a wrapper is quarantined.
 pub const MAX_REPAIR_ATTEMPTS: u32 = 5;
+/// How long after an attempt starts the next may start; doubles per
+/// attempt.
+const REPAIR_BACKOFF: Duration = Duration::from_millis(200);
 /// A relabeling is only trusted when the common subsequence covers at
 /// least this fraction of the good page's tag sequence — below it the
 /// pages are too dissimilar for the alignment to carry the label over.
 const MIN_LCS_RATIO: f64 = 0.5;
 
-/// Per-wrapper repair evidence and attempt bookkeeping.
+/// Per-wrapper page and tuple tallies, fed page by page by `/extract`
+/// and `/pipeline` alike.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct WrapperCounters {
+    /// Pages this wrapper extracted successfully.
+    pages_ok: u64,
+    /// Pages routed to this wrapper whose extraction failed (ambiguous
+    /// match or other hard error — empty results are counted separately).
+    pages_failed: u64,
+    /// Pages where the wrapper parsed but matched nothing (`NoMatch`) —
+    /// the paper's primary drift symptom, disjoint from `pages_failed`.
+    results_empty: u64,
+    /// Tuples emitted under this wrapper's name.
+    tuples_emitted: u64,
+}
+
+table! {
+    /// A wrapper's serving health in the drift/repair lifecycle:
+    /// `Healthy → Degraded → Repairing → Healthy` on a successful repair,
+    /// or `→ Quarantined` when repair attempts are exhausted.
+    #[derive(Default)]
+    pub enum WrapperHealth: &'static str {
+        /// Failure rates below threshold; serving normally.
+        #[default]
+        Healthy => "healthy",
+        /// Drift flagged: a sliding-window failure or empty-result rate
+        /// crossed the threshold. Still serving best-effort (or 503 under
+        /// `--drift-strict`) while repair evidence accumulates.
+        Degraded => "degraded",
+        /// A supervisor-owned repair thread is retraining the wrapper.
+        Repairing => "repairing",
+        /// Repair attempts exhausted; the wrapper stays installed (and
+        /// keeps serving best-effort) but no further repairs are tried
+        /// until a manual install resets it.
+        Quarantined => "quarantined",
+    }
+}
+
+impl WrapperHealth {
+    pub fn name(self) -> &'static str {
+        self.entry()
+    }
+}
+
+/// Forced-detection hook: the `serve.drift.detect` failpoint (action
+/// `return`) flags drift regardless of observed rates, making the
+/// detect → repair path testable without minting hundreds of bad pages.
+fn drift_detect_forced() -> bool {
+    fail_point!("serve.drift.detect", |_action| true);
+    false
+}
+
+/// One wrapper's serving state: everything the daemon knows about it
+/// besides the artifact itself.
 #[derive(Default)]
-struct Evidence {
-    /// Recent successful extractions: `(tokens, target token index)`.
-    /// Self-labeled — what the wrapper served is the label.
-    good: VecDeque<(Vec<Token>, usize)>,
-    /// Recent failing pages (no-match or hard failure).
+struct WrapperState {
+    counters: WrapperCounters,
+    /// Outcomes of the last `window` pages, oldest first.
+    recent: VecDeque<PageOutcome>,
+    health: WrapperHealth,
+    /// The first `GOOD_CAP` pages the serving revision extracted, as
+    /// `(tokens, target token index)`: what the wrapper served is the
+    /// label.
+    good: Vec<(Vec<Token>, usize)>,
+    /// The last `FAILING_CAP` failing pages (no match or hard failure).
     failing: VecDeque<Vec<Token>>,
-    /// Repair attempts so far (reset by a successful repair or a manual
-    /// install).
+    /// Repair attempts since the wrapper was last installed.
     attempts: u32,
     /// Earliest time the next attempt may start (exponential backoff).
     not_before: Option<Instant>,
+    /// The revision an attempt is repairing right now.
+    repairing: Option<u32>,
 }
 
-/// Shared evidence store + repair scheduling state, owned by the daemon
-/// and fed by its per-page observer (`/extract` and `/pipeline`).
-pub struct RepairHub {
-    state: Mutex<HashMap<String, Evidence>>,
-    /// Base backoff after a failed attempt; doubles per attempt.
-    backoff_base: Duration,
-}
-
-impl RepairHub {
-    pub fn new(backoff_base: Duration) -> RepairHub {
-        RepairHub {
-            state: Mutex::new(HashMap::new()),
-            backoff_base,
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<String, Evidence>> {
-        self.state.lock().unwrap_or_else(|p| p.into_inner())
-    }
-
-    /// Retain a successful extraction as a self-labeled training sample.
-    pub fn record_success(&self, name: &str, tokens: &[Token], target: usize) {
-        let mut map = self.lock();
-        let ev = map.entry(name.to_string()).or_default();
-        if ev.good.len() == GOOD_CAP {
-            ev.good.pop_front();
-        }
-        ev.good.push_back((tokens.to_vec(), target));
-    }
-
-    /// Retain a failing page as repair evidence.
-    pub fn record_failure(&self, name: &str, tokens: &[Token]) {
-        let mut map = self.lock();
-        let ev = map.entry(name.to_string()).or_default();
-        if ev.failing.len() == FAILING_CAP {
-            ev.failing.pop_front();
-        }
-        ev.failing.push_back(tokens.to_vec());
-    }
-
-    /// Whether a repair attempt may start now: attempts not exhausted,
-    /// backoff elapsed, and enough evidence (≥ 1 good page to carry
-    /// labels, ≥ 2 failing pages so one can be held back for
-    /// validation).
-    pub fn ready(&self, name: &str) -> bool {
-        let map = self.lock();
-        let Some(ev) = map.get(name) else {
-            return false;
+impl WrapperState {
+    /// A new revision serves: keep the tallies, drop everything that
+    /// described the replaced one.
+    fn reset(&mut self) {
+        let counters = self.counters;
+        *self = WrapperState {
+            counters,
+            ..WrapperState::default()
         };
-        ev.attempts < MAX_REPAIR_ATTEMPTS
-            && ev.not_before.is_none_or(|t| Instant::now() >= t)
-            && !ev.good.is_empty()
-            && ev.failing.len() >= 2
+    }
+}
+
+/// One repair attempt as [`Lifecycle::begin_repair`] started it: the
+/// serving wrapper, whose revision is the one it may replace, and a
+/// snapshot of the evidence to train on without the lifecycle lock.
+pub struct Attempt {
+    name: String,
+    /// 1 for the first attempt since the wrapper was installed.
+    number: u32,
+    wrapper: Arc<Wrapper>,
+    good: Vec<(Vec<Token>, usize)>,
+    failing: Vec<Vec<Token>>,
+}
+
+/// The daemon's one table of per-wrapper serving state (see the module
+/// docs), with the drift policy it was booted with.
+pub struct Lifecycle {
+    /// Sliding-window size in pages; `0` turns drift detection off.
+    pub window: usize,
+    /// Failure or empty-result rate over a full window that flags drift.
+    pub threshold: f64,
+    wrappers: Mutex<BTreeMap<String, WrapperState>>,
+}
+
+impl Lifecycle {
+    pub fn new(window: usize, threshold: f64) -> Lifecycle {
+        Lifecycle {
+            window,
+            threshold,
+            wrappers: Mutex::new(BTreeMap::new()),
+        }
     }
 
-    /// Record the start of an attempt: bumps the counter and arms the
-    /// exponential backoff for the *next* one (cleared on success).
-    pub fn note_attempt(&self, name: &str) {
+    /// Take the table lock; every update leaves each entry valid, so a
+    /// panic elsewhere never poisons the table.
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, WrapperState>> {
+        self.wrappers.lock().unwrap_or_else(|p| p.into_inner())
+    }
+
+    /// One page under `ev.wrapper`, from `/extract` or `/pipeline` alike:
+    /// tally it (a successful page emits one tuple), keep it as evidence
+    /// if a ring wants it, and push its outcome into the drift window.
+    /// Detection only ever *flags* (Healthy → Degraded), so a drifting
+    /// wrapper stays visible until a repair or a manual install acts on
+    /// it. Returns `true` when this page newly flagged the wrapper.
+    pub fn observe(&self, ev: &PageEvent<'_>, metrics: &Metrics) -> bool {
         let mut map = self.lock();
-        let ev = map.entry(name.to_string()).or_default();
-        ev.attempts += 1;
-        let backoff = self.backoff_base * 2u32.saturating_pow(ev.attempts.saturating_sub(1));
-        ev.not_before = Some(Instant::now() + backoff);
+        // Allocate the name only on the wrapper's first page.
+        if !map.contains_key(ev.wrapper) {
+            map.insert(ev.wrapper.to_string(), WrapperState::default());
+        }
+        let st = map.get_mut(ev.wrapper).expect("inserted above");
+        let c = &mut st.counters;
+        match ev.outcome {
+            PageOutcome::Ok => {
+                c.pages_ok += 1;
+                c.tuples_emitted += 1;
+            }
+            PageOutcome::Empty => c.results_empty += 1,
+            PageOutcome::Failed => c.pages_failed += 1,
+        }
+        match ev.targets.first() {
+            Some(&target) => {
+                if st.good.len() < GOOD_CAP {
+                    st.good.push((ev.tokens.to_vec(), target));
+                }
+            }
+            // Failing pages keep rolling: they are the drift witnesses,
+            // and rare while the wrapper is healthy.
+            None => {
+                if st.failing.len() == FAILING_CAP {
+                    st.failing.pop_front();
+                }
+                st.failing.push_back(ev.tokens.to_vec());
+            }
+        }
+        if self.window == 0 {
+            return false;
+        }
+        if st.recent.len() == self.window {
+            st.recent.pop_front();
+        }
+        st.recent.push_back(ev.outcome);
+        if st.health != WrapperHealth::Healthy {
+            return false;
+        }
+        let rate = |o: PageOutcome| {
+            st.recent.iter().filter(|&&r| r == o).count() as f64 / self.window as f64
+        };
+        let flagged = drift_detect_forced()
+            || (st.recent.len() == self.window
+                && (rate(PageOutcome::Failed) >= self.threshold
+                    || rate(PageOutcome::Empty) >= self.threshold));
+        if flagged {
+            st.health = WrapperHealth::Degraded;
+            metrics.add(Counter::DriftFlagged, 1);
+        }
+        flagged
     }
 
-    /// Attempts exhausted → the supervisor quarantines the wrapper.
-    pub fn exhausted(&self, name: &str) -> bool {
+    /// The wrapper's current health (Healthy if never observed).
+    pub fn health(&self, name: &str) -> WrapperHealth {
         self.lock()
             .get(name)
-            .is_some_and(|ev| ev.attempts >= MAX_REPAIR_ATTEMPTS)
+            .map_or(WrapperHealth::Healthy, |st| st.health)
     }
 
-    pub fn attempts(&self, name: &str) -> u32 {
-        self.lock().get(name).map(|ev| ev.attempts).unwrap_or(0)
+    /// Every wrapper whose health is not Healthy, sorted by name —
+    /// `/healthz`'s degradation signal.
+    pub fn unhealthy(&self) -> Vec<(String, WrapperHealth)> {
+        self.lock()
+            .iter()
+            .filter(|(_, st)| st.health != WrapperHealth::Healthy)
+            .map(|(name, st)| (name.clone(), st.health))
+            .collect()
     }
 
-    /// Drop all evidence and attempt state for `name` — the wrapper was
-    /// replaced (successful repair or manual install), so the evidence
-    /// no longer describes the serving artifact.
+    /// `name` was replaced by a manual install: keep its tallies, and
+    /// clear its window, health, evidence and attempts, which described
+    /// the replaced wrapper. A running attempt's verdict is then dropped.
     pub fn reset(&self, name: &str) {
-        self.lock().remove(name);
+        if let Some(st) = self.lock().get_mut(name) {
+            st.reset();
+        }
     }
 
-    /// Snapshot the evidence for a repair attempt (the repair thread
-    /// must not hold the hub lock while training).
-    #[allow(clippy::type_complexity)]
-    pub fn snapshot(&self, name: &str) -> Option<(Vec<(Vec<Token>, usize)>, Vec<Vec<Token>>)> {
-        let map = self.lock();
-        let ev = map.get(name)?;
-        Some((
-            ev.good.iter().cloned().collect(),
-            ev.failing.iter().cloned().collect(),
-        ))
+    /// Start the next repair: the first `Degraded` wrapper past its
+    /// backoff that holds enough evidence (≥ 1 good page to carry labels,
+    /// ≥ 2 failing pages so one can be held back for validation). In one
+    /// critical section this marks it `Repairing`, counts the attempt,
+    /// arms the backoff for the next one, and snapshots the evidence and
+    /// the serving wrapper into the returned [`Attempt`].
+    pub fn begin_repair(&self, registry: &Registry, metrics: &Metrics) -> Option<Attempt> {
+        let now = Instant::now();
+        let attempt = {
+            let mut map = self.lock();
+            let (name, st, wrapper) = map.iter_mut().find_map(|(name, st)| {
+                let ready = st.health == WrapperHealth::Degraded
+                    && st.not_before.is_none_or(|t| now >= t)
+                    && !st.good.is_empty()
+                    && st.failing.len() >= 2;
+                if !ready {
+                    return None;
+                }
+                Some((name, st, registry.get(name)?))
+            })?;
+            st.health = WrapperHealth::Repairing;
+            st.attempts += 1;
+            st.not_before = Some(now + REPAIR_BACKOFF * 2u32.saturating_pow(st.attempts - 1));
+            st.repairing = Some(wrapper.revision());
+            Attempt {
+                name: name.clone(),
+                number: st.attempts,
+                wrapper,
+                good: st.good.clone(),
+                failing: st.failing.iter().cloned().collect(),
+            }
+        };
+        metrics.add(Counter::RepairsAttempted, 1);
+        eprintln!(
+            "rextract-serve: drift repair of wrapper {:?} starting (attempt {})",
+            attempt.name, attempt.number
+        );
+        Some(attempt)
+    }
+
+    /// Count a finished attempt as succeeded or failed, and apply its
+    /// verdict only while its wrapper still repairs the attempt's
+    /// revision: healed, the wrapper starts over `Healthy` at its new
+    /// revision; failed, it goes back to `Degraded` for a retry, or to
+    /// `Quarantined` once [`MAX_REPAIR_ATTEMPTS`] have failed. After a
+    /// manual install the verdict describes a replaced wrapper, and
+    /// nothing changes.
+    pub fn finish_repair(&self, attempt: &Attempt, healed: bool, metrics: &Metrics) {
+        let ledger = if healed {
+            Counter::RepairsSucceeded
+        } else {
+            Counter::RepairsFailed
+        };
+        metrics.add(ledger, 1);
+        let (name, number) = (&attempt.name, attempt.number);
+        let mut map = self.lock();
+        let repairing = Some(attempt.wrapper.revision());
+        let Some(st) = map.get_mut(name).filter(|st| st.repairing == repairing) else {
+            drop(map);
+            eprintln!("rextract-serve: repair of wrapper {name:?} (attempt {number}) superseded by a newer install");
+            return;
+        };
+        if healed {
+            st.reset();
+            return;
+        }
+        st.repairing = None;
+        let (health, next) = if st.attempts >= MAX_REPAIR_ATTEMPTS {
+            let next = "quarantined, serving best-effort until reinstalled";
+            (WrapperHealth::Quarantined, next)
+        } else {
+            (WrapperHealth::Degraded, "will retry with backoff")
+        };
+        st.health = health;
+        drop(map);
+        eprintln!("rextract-serve: repair of wrapper {name:?} failed (attempt {number}; {next})");
+    }
+
+    /// The `/metrics` `wrappers` rows: one per wrapper a page reached,
+    /// sorted by name.
+    pub fn render<'a>(&self, o: Obj<'a>) -> Obj<'a> {
+        self.lock().iter().fold(o, |o, (name, st)| {
+            let c = &st.counters;
+            o.obj(name, |o| {
+                o.num("pages_ok", c.pages_ok)
+                    .num("pages_failed", c.pages_failed)
+                    .num("results_empty", c.results_empty)
+                    .num("tuples_emitted", c.tuples_emitted)
+                    .str("health", st.health.name())
+            })
+        })
     }
 }
 
@@ -213,23 +423,19 @@ fn relabel(good: &[(Vec<Token>, usize)], cfg: &SeqConfig, failing: &[Token]) -> 
 /// supervisor-owned thread; a panic anywhere in here (including the
 /// armed `serve.repair.train` / `serve.repair.install` failpoints)
 /// surfaces as a failed attempt while the old wrapper keeps serving —
-/// the `Arc` swap in [`Registry::install`] is the last step, so there
-/// is no partially-repaired state to observe.
-pub fn run_repair(
-    name: &str,
-    wrapper: &Arc<Wrapper>,
-    hub: &RepairHub,
-    registry: &Registry,
-) -> bool {
+/// the `Arc` swap in [`Registry::install_over`] is the last step, so
+/// there is no partially-repaired state to observe.
+pub fn run_repair(attempt: &Attempt, registry: &Registry) -> bool {
     // Covers the training stage: `panic` simulates a crash mid-repair,
     // `return` a training failure.
     fail_point!("serve.repair.train", |_action| false);
-    let Some((good, failing)) = hub.snapshot(name) else {
-        return false;
-    };
-    if good.is_empty() || failing.len() < 2 {
-        return false;
-    }
+    let Attempt {
+        name,
+        wrapper,
+        good,
+        failing,
+        ..
+    } = attempt;
     // Hold back every other failing page: the candidate must generalize
     // to failing pages it never saw, not just memorize the evidence.
     let mut train_evidence = Vec::new();
@@ -251,7 +457,7 @@ pub fn run_repair(
         .collect();
     let mut relabeled = 0usize;
     for page in &train_evidence {
-        if let Some(sample) = relabel(&good, &cfg, page) {
+        if let Some(sample) = relabel(good, &cfg, page) {
             samples.push(sample);
             relabeled += 1;
         }
@@ -272,7 +478,7 @@ pub fn run_repair(
     };
     // Validation gate 1: every self-labeled good page must still extract
     // to its known target (the repair must not regress working layouts).
-    for (tokens, target) in &good {
+    for (tokens, target) in good {
         if candidate.extract_target(tokens) != Ok(*target) {
             return false;
         }
@@ -287,8 +493,8 @@ pub fn run_repair(
     // Covers the install stage: `panic` simulates a crash between
     // validation and the atomic swap, `return` an install refusal.
     fail_point!("serve.repair.install", |_action| false);
-    match registry.install(name, &candidate.export()) {
-        Ok(installed) => {
+    match registry.install_over(name, &candidate.export(), wrapper.revision()) {
+        Ok(Some(installed)) => {
             eprintln!(
                 "rextract-serve: repaired wrapper {name:?} (revision {}, trained on {} good + {} relabeled pages, {} holdout validated)",
                 installed.revision(),
@@ -297,6 +503,13 @@ pub fn run_repair(
                 holdout.len(),
             );
             true
+        }
+        Ok(None) => {
+            eprintln!(
+                "rextract-serve: repair of {name:?} not installed: revision {} no longer serves",
+                wrapper.revision()
+            );
+            false
         }
         Err(e) => {
             eprintln!("rextract-serve: repair install of {name:?} failed: {e}");
@@ -318,44 +531,227 @@ mod tests {
         })
     }
 
+    /// A page under `name` with `outcome` and no tokens; a successful one
+    /// served token 0.
+    fn page(name: &str, outcome: PageOutcome) -> PageEvent<'_> {
+        let targets: &[usize] = if outcome == PageOutcome::Ok {
+            &[0]
+        } else {
+            &[]
+        };
+        PageEvent {
+            wrapper: name,
+            tokens: &[],
+            outcome,
+            targets,
+        }
+    }
+
+    /// A registry serving a catalog wrapper under `name` at revision 1.
+    fn registry_with(name: &str) -> Registry {
+        let mut g = site(41);
+        let train = [PageStyle::Plain, PageStyle::TableEmbedded]
+            .map(|style| TrainPage::from(&g.page_with_style(style)));
+        let w = Wrapper::train(&train, WrapperConfig::default()).unwrap();
+        let registry = Registry::new(None);
+        registry.install(name, &w.export()).unwrap();
+        registry
+    }
+
+    /// Let `name`'s backoff run out without sleeping through it.
+    fn expire_backoff(life: &Lifecycle, name: &str) {
+        life.lock().get_mut(name).unwrap().not_before = Some(Instant::now());
+    }
+
+    #[test]
+    fn drift_flags_on_empty_rate_over_full_window() {
+        let m = Metrics::new();
+        let life = Lifecycle::new(4, 0.5);
+        // Window not yet full: no flag even at 100% empty.
+        assert!(!life.observe(&page("w", PageOutcome::Empty), &m));
+        assert!(!life.observe(&page("w", PageOutcome::Empty), &m));
+        assert!(!life.observe(&page("w", PageOutcome::Ok), &m));
+        assert_eq!(life.health("w"), WrapperHealth::Healthy);
+        // Fourth page fills the window at 3/4 empty ≥ 0.5: flag.
+        assert!(life.observe(&page("w", PageOutcome::Empty), &m));
+        assert_eq!(life.health("w"), WrapperHealth::Degraded);
+        assert_eq!(m.get(Counter::DriftFlagged), 1);
+        // Already flagged: no double count.
+        assert!(!life.observe(&page("w", PageOutcome::Empty), &m));
+        assert_eq!(m.get(Counter::DriftFlagged), 1);
+        assert_eq!(
+            life.unhealthy(),
+            vec![("w".to_string(), WrapperHealth::Degraded)]
+        );
+    }
+
+    #[test]
+    fn drift_flags_on_failure_rate_and_resets_on_reinstall() {
+        let m = Metrics::new();
+        let life = Lifecycle::new(2, 1.0);
+        life.observe(&page("w", PageOutcome::Failed), &m);
+        assert!(life.observe(&page("w", PageOutcome::Failed), &m));
+        assert_eq!(life.health("w"), WrapperHealth::Degraded);
+        life.reset("w");
+        assert_eq!(life.health("w"), WrapperHealth::Healthy);
+        assert!(life.unhealthy().is_empty());
+        // The window was cleared too: one more failure is not enough.
+        assert!(!life.observe(&page("w", PageOutcome::Failed), &m));
+    }
+
+    #[test]
+    fn flagged_health_is_sticky_under_later_successes() {
+        let m = Metrics::new();
+        let life = Lifecycle::new(2, 1.0);
+        life.observe(&page("w", PageOutcome::Empty), &m);
+        life.observe(&page("w", PageOutcome::Empty), &m);
+        assert_eq!(life.health("w"), WrapperHealth::Degraded);
+        for _ in 0..8 {
+            life.observe(&page("w", PageOutcome::Ok), &m);
+        }
+        assert_eq!(
+            life.health("w"),
+            WrapperHealth::Degraded,
+            "recovery goes through repair, not through the window refilling"
+        );
+    }
+
+    #[test]
+    fn drift_disabled_with_zero_window() {
+        let m = Metrics::new();
+        let life = Lifecycle::new(0, 1.0);
+        for _ in 0..100 {
+            life.observe(&page("w", PageOutcome::Failed), &m);
+        }
+        assert_eq!(life.health("w"), WrapperHealth::Healthy);
+        assert_eq!(m.get(Counter::DriftFlagged), 0);
+    }
+
+    #[test]
+    fn health_transitions_and_repair_counters() {
+        let m = Metrics::new();
+        let registry = registry_with("w");
+        let life = Lifecycle::new(1, 1.0);
+        life.observe(&page("w", PageOutcome::Ok), &m);
+        life.observe(&page("w", PageOutcome::Empty), &m);
+        life.observe(&page("w", PageOutcome::Empty), &m);
+        assert_eq!(life.health("w"), WrapperHealth::Degraded);
+        let attempt = life.begin_repair(&registry, &m).unwrap();
+        assert_eq!((attempt.name.as_str(), attempt.number), ("w", 1));
+        assert_eq!(life.health("w"), WrapperHealth::Repairing);
+        // While Repairing, new bad pages don't re-flag.
+        assert!(!life.observe(&page("w", PageOutcome::Empty), &m));
+        assert_eq!(m.get(Counter::DriftFlagged), 1);
+        life.finish_repair(&attempt, false, &m);
+        assert_eq!(life.health("w"), WrapperHealth::Degraded);
+        assert_eq!(m.get(Counter::RepairsAttempted), 1);
+        assert_eq!(m.get(Counter::RepairsFailed), 1);
+    }
+
     #[test]
     fn hub_rings_are_bounded_and_resettable() {
-        let hub = RepairHub::new(Duration::from_millis(1));
-        let toks = tokenize("<p>x</p>");
-        for _ in 0..GOOD_CAP + 5 {
-            hub.record_success("w", &toks, 0);
+        let m = Metrics::new();
+        let life = Lifecycle::new(0, 1.0);
+        let pages: Vec<Vec<Token>> = (0..GOOD_CAP + 5)
+            .map(|i| tokenize(&format!("<p>{i}</p>")))
+            .collect();
+        for tokens in &pages {
+            let ok = PageEvent {
+                tokens,
+                ..page("w", PageOutcome::Ok)
+            };
+            life.observe(&ok, &m);
         }
+        let failing = tokenize("<ul></ul>");
         for _ in 0..FAILING_CAP + 5 {
-            hub.record_failure("w", &toks);
+            let failed = PageEvent {
+                tokens: &failing,
+                ..page("w", PageOutcome::Failed)
+            };
+            life.observe(&failed, &m);
         }
-        let (good, failing) = hub.snapshot("w").unwrap();
-        assert_eq!(good.len(), GOOD_CAP);
-        assert_eq!(failing.len(), FAILING_CAP);
-        hub.reset("w");
-        assert!(hub.snapshot("w").is_none());
-        assert!(!hub.ready("w"));
+        {
+            let map = life.lock();
+            let st = &map["w"];
+            let kept: Vec<&Vec<Token>> = st.good.iter().map(|(tokens, _)| tokens).collect();
+            let first: Vec<&Vec<Token>> = pages[..GOOD_CAP].iter().collect();
+            assert_eq!(kept, first, "the first successes stay");
+            assert_eq!(st.failing.len(), FAILING_CAP);
+        }
+        life.reset("w");
+        let map = life.lock();
+        let st = &map["w"];
+        assert!(st.good.is_empty() && st.failing.is_empty());
+        let want = WrapperCounters {
+            pages_ok: 13,
+            pages_failed: 21,
+            results_empty: 0,
+            tuples_emitted: 13,
+        };
+        assert_eq!(st.counters, want, "reset keeps the tallies");
     }
 
     #[test]
     fn ready_needs_evidence_attempts_and_backoff() {
-        let hub = RepairHub::new(Duration::from_millis(20));
-        let toks = tokenize("<p>x</p>");
-        assert!(!hub.ready("w"), "no evidence yet");
-        hub.record_success("w", &toks, 0);
-        hub.record_failure("w", &toks);
-        assert!(!hub.ready("w"), "one failing page is not enough");
-        hub.record_failure("w", &toks);
-        assert!(hub.ready("w"));
-        hub.note_attempt("w");
-        assert!(!hub.ready("w"), "backoff armed");
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(hub.ready("w"), "backoff elapsed");
-        for _ in 1..MAX_REPAIR_ATTEMPTS {
-            hub.note_attempt("w");
+        let m = Metrics::new();
+        let registry = registry_with("w");
+        let life = Lifecycle::new(1, 1.0);
+        assert!(
+            life.begin_repair(&registry, &m).is_none(),
+            "no evidence yet"
+        );
+        life.observe(&page("w", PageOutcome::Ok), &m);
+        life.observe(&page("w", PageOutcome::Empty), &m);
+        assert_eq!(life.health("w"), WrapperHealth::Degraded);
+        assert!(
+            life.begin_repair(&registry, &m).is_none(),
+            "one failing page is not enough"
+        );
+        life.observe(&page("w", PageOutcome::Empty), &m);
+        let attempt = life.begin_repair(&registry, &m).unwrap();
+        assert!(
+            life.begin_repair(&registry, &m).is_none(),
+            "already repairing"
+        );
+        life.finish_repair(&attempt, false, &m);
+        assert_eq!(life.health("w"), WrapperHealth::Degraded);
+        assert!(life.begin_repair(&registry, &m).is_none(), "backoff armed");
+        expire_backoff(&life, "w");
+        let attempt = life.begin_repair(&registry, &m).unwrap();
+        assert_eq!(attempt.number, 2);
+
+        // A manual install resets the wrapper: the running attempt's
+        // verdict is dropped, and its attempts no longer count.
+        life.reset("w");
+        life.finish_repair(&attempt, false, &m);
+        assert_eq!(life.health("w"), WrapperHealth::Healthy);
+        assert_eq!(life.lock()["w"].attempts, 0);
+    }
+
+    #[test]
+    fn attempts_exhausted_quarantine() {
+        let m = Metrics::new();
+        let registry = registry_with("w");
+        let life = Lifecycle::new(1, 1.0);
+        life.observe(&page("w", PageOutcome::Ok), &m);
+        life.observe(&page("w", PageOutcome::Empty), &m);
+        life.observe(&page("w", PageOutcome::Empty), &m);
+        for number in 1..=MAX_REPAIR_ATTEMPTS {
+            expire_backoff(&life, "w");
+            let attempt = life.begin_repair(&registry, &m).unwrap();
+            assert_eq!(attempt.number, number);
+            life.finish_repair(&attempt, false, &m);
         }
-        assert!(hub.exhausted("w"));
-        std::thread::sleep(Duration::from_millis(1));
-        assert!(!hub.ready("w"), "attempts exhausted");
+        assert_eq!(life.health("w"), WrapperHealth::Quarantined);
+        expire_backoff(&life, "w");
+        assert!(
+            life.begin_repair(&registry, &m).is_none(),
+            "no sixth attempt"
+        );
+        assert_eq!(
+            life.unhealthy(),
+            vec![("w".to_string(), WrapperHealth::Quarantined)]
+        );
     }
 
     #[test]
@@ -399,7 +795,9 @@ mod tests {
         let old = Wrapper::train(&train, WrapperConfig::default()).unwrap();
 
         let registry = Registry::new(None);
-        let hub = RepairHub::new(Duration::from_millis(1));
+        let m = Metrics::new();
+        // Flag on the first failing page.
+        let life = Lifecycle::new(1, 1.0);
         let installed = registry.install("cat", &old.export()).unwrap();
 
         // Serve some good pages (self-labeling), then heavily perturbed
@@ -414,10 +812,9 @@ mod tests {
                 PageStyle::TableEmbedded
             };
             let p = g.page_with_style(style);
-            let got = installed
-                .extract_target_with(&p.tokens, &mut scratch)
-                .unwrap();
-            hub.record_success("cat", &p.tokens, got);
+            let got = installed.extract_page(&p.tokens, &mut scratch);
+            assert!(got.is_ok());
+            life.observe(&PageEvent::new("cat", &p.tokens, &got), &m);
         }
         let mut perturber = Perturber::new(7);
         let mut drifted = 0;
@@ -426,22 +823,26 @@ mod tests {
             tries += 1;
             let p = g.page_with_style(PageStyle::Plain);
             let edited = perturber.perturb(&p.tokens, p.target, 6);
-            if installed
-                .extract_target_with(&edited.tokens, &mut scratch)
-                .is_err()
-            {
-                hub.record_failure("cat", &edited.tokens);
+            let got = installed.extract_page(&edited.tokens, &mut scratch);
+            if got.is_err() {
+                life.observe(&PageEvent::new("cat", &edited.tokens, &got), &m);
                 drifted += 1;
             }
         }
         assert!(drifted >= 2, "could not produce failing evidence");
-        assert!(hub.ready("cat"));
-        assert!(run_repair("cat", &installed, &hub, &registry));
+        let attempt = life.begin_repair(&registry, &m).unwrap();
+        assert!(run_repair(&attempt, &registry));
+        life.finish_repair(&attempt, true, &m);
+        assert_eq!(life.health("cat"), WrapperHealth::Healthy);
         let healed = registry.get("cat").unwrap();
         assert_eq!(healed.revision(), 2, "repair bumps the install revision");
         // The healed wrapper still serves the original layouts.
         for p in &train {
             assert_eq!(healed.extract_target(&p.tokens), Ok(p.target));
         }
+        // The attempt repaired revision 1, which no longer serves: running
+        // it again installs nothing.
+        assert!(!run_repair(&attempt, &registry));
+        assert_eq!(registry.get("cat").unwrap().revision(), 2);
     }
 }

@@ -38,17 +38,18 @@
 //! * **Self-healing worker pool.** A supervisor thread detects worker
 //!   deaths (a panic that escapes the per-connection guard), respawns
 //!   them, and surfaces the incident: `/healthz` reports `"degraded"`
-//!   while the pool is short-handed or within
-//!   [`ServeConfig::degraded_window`] of the last death, and `/metrics`
-//!   counts respawns.
-//! * **Drift detection + online self-repair.** Per-wrapper sliding
-//!   windows over `/extract` and `/pipeline` outcomes flag a wrapper
-//!   `Degraded` when its failure or empty-result rate crosses
-//!   [`ServeConfig::drift_threshold`]; the supervisor then retrains it
-//!   online from retained evidence pages ([`drift`]) and hot-installs
-//!   the healed artifact through the crash-safe install path, bumping
-//!   its revision — all without a restart. `--drift-strict` turns
-//!   best-effort serving of a drifted wrapper into `503`s.
+//!   while the pool is short-handed or within a second of the last
+//!   death, and `/metrics` counts respawns.
+//! * **Drift detection + online self-repair.** One table,
+//!   [`drift::Lifecycle`], holds each wrapper's tallies, sliding window,
+//!   health and repair evidence. The window over `/extract` and
+//!   `/pipeline` outcomes flags a wrapper `Degraded` when its failure or
+//!   empty-result rate crosses [`ServeConfig::drift_threshold`]; the
+//!   supervisor then retrains it online from the evidence and hot-installs
+//!   the healed artifact through the crash-safe install path, bumping its
+//!   revision — without a restart, and only over the revision it
+//!   repaired. `--drift-strict` turns best-effort serving of a drifted
+//!   wrapper into `503`s.
 //! * **Fault injection.** Built with `--features failpoints`, the daemon
 //!   compiles in named failpoints (`worker.panic.escape`, `extract.slow`,
 //!   `registry.read.transient`, `serve.drift.detect`,
@@ -127,10 +128,6 @@ pub struct ServeConfig {
     /// abandoning the wedged ones (logged + `abandoned_connections`
     /// metric).
     pub drain_timeout: Duration,
-    /// How long after a worker death `/healthz` keeps reporting
-    /// `"degraded"`. Respawn takes single-digit milliseconds; the window
-    /// keeps the incident observable to a poller.
-    pub degraded_window: Duration,
     /// Sliding-window size (pages) for per-wrapper drift detection; `0`
     /// disables detection entirely.
     pub drift_window: usize,
@@ -140,9 +137,6 @@ pub struct ServeConfig {
     /// With `true`, a Degraded/Repairing/Quarantined wrapper answers
     /// `503` instead of serving best-effort.
     pub drift_strict: bool,
-    /// Base backoff between failed repair attempts (doubles per attempt
-    /// up to [`drift::MAX_REPAIR_ATTEMPTS`] attempts).
-    pub repair_backoff: Duration,
 }
 
 impl Default for ServeConfig {
@@ -158,14 +152,12 @@ impl Default for ServeConfig {
             keepalive_timeout: Duration::from_secs(5),
             request_deadline: Duration::from_secs(10),
             drain_timeout: Duration::from_millis(5000),
-            degraded_window: Duration::from_secs(1),
             // Conservative defaults: a wrapper has to fail (or match
             // nothing on) ≥ 90% of its last 32 pages before the daemon
             // declares drift and starts repairing.
             drift_window: 32,
             drift_threshold: 0.9,
             drift_strict: false,
-            repair_backoff: Duration::from_millis(200),
         }
     }
 }

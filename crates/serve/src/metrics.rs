@@ -1,16 +1,16 @@
 //! Live daemon metrics: one table of plain counters and gauges
 //! ([`Counter`]), per-endpoint request counts and latency histograms,
-//! the batch-size histogram, and the keyed per-wrapper and per-query
-//! tallies and drift windows — lock-free atomics (plus short-critical-
-//! section mutexes for the dynamically-keyed maps), snapshotted by
-//! `GET /metrics` without pausing workers.
+//! the batch-size histogram, and the per-query tallies — atomics, plus
+//! one short-critical-section mutex for the query-keyed map, snapshotted
+//! by `GET /metrics` without pausing workers. `Metrics` holds no
+//! per-wrapper state: the `wrappers` rows and the drift policy come from
+//! the [`Lifecycle`] table it renders alongside.
 
+use crate::drift::Lifecycle;
 use rextract_automata::StoreStats;
 use rextract_extraction::json::{self, Obj};
-use rextract_faults::fail_point;
-use rextract_wrapper::PageOutcome;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -39,6 +39,7 @@ macro_rules! table {
         }
     };
 }
+pub(crate) use table;
 
 /// Upper bounds (µs) of the latency histogram buckets; one implicit
 /// overflow bucket above the last bound. Log-ish spacing spanning 50µs
@@ -275,22 +276,6 @@ struct EndpointMetrics {
     latency: Histogram,
 }
 
-/// Per-wrapper page and tuple tallies, fed page by page by `/extract`
-/// and `/pipeline` alike.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct WrapperCounters {
-    /// Pages this wrapper extracted successfully.
-    pub pages_ok: u64,
-    /// Pages routed to this wrapper whose extraction failed (ambiguous
-    /// match or other hard error — empty results are counted separately).
-    pub pages_failed: u64,
-    /// Pages where the wrapper parsed but matched nothing (`NoMatch`) —
-    /// the paper's primary drift symptom, disjoint from `pages_failed`.
-    pub results_empty: u64,
-    /// Tuples emitted under this wrapper's name.
-    pub tuples_emitted: u64,
-}
-
 /// Per-query evaluation tallies (the `POST /query` path), keyed by
 /// installed query name.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
@@ -303,51 +288,8 @@ pub struct QueryCounters {
     pub failures: u64,
 }
 
-table! {
-    /// A wrapper's serving health in the drift/repair lifecycle:
-    /// `Healthy → Degraded → Repairing → Healthy` on a successful repair,
-    /// or `→ Quarantined` when repair attempts are exhausted.
-    #[derive(Default)]
-    pub enum WrapperHealth: &'static str {
-        /// Failure rates below threshold; serving normally.
-        #[default]
-        Healthy => "healthy",
-        /// Drift flagged: a sliding-window failure or empty-result rate
-        /// crossed the threshold. Still serving best-effort (or 503 under
-        /// `--drift-strict`) while repair evidence accumulates.
-        Degraded => "degraded",
-        /// A supervisor-owned repair thread is retraining the wrapper.
-        Repairing => "repairing",
-        /// Repair attempts exhausted; the wrapper stays installed (and
-        /// keeps serving best-effort) but no further repairs are tried
-        /// until a manual install resets it.
-        Quarantined => "quarantined",
-    }
-}
-
-impl WrapperHealth {
-    pub fn name(self) -> &'static str {
-        self.entry()
-    }
-}
-
-/// Per-wrapper drift detector state: a sliding window of recent page
-/// outcomes plus the wrapper's health.
-#[derive(Debug, Default)]
-struct DriftState {
-    recent: VecDeque<PageOutcome>,
-    health: WrapperHealth,
-}
-
-/// Forced-detection hook: the `serve.drift.detect` failpoint (action
-/// `return`) flags drift regardless of observed rates, making the
-/// detect → repair path testable without minting hundreds of bad pages.
-fn drift_detect_forced() -> bool {
-    fail_point!("serve.drift.detect", |_action| true);
-    false
-}
-
-/// Take a keyed-tally lock; a panic elsewhere never poisons the metrics.
+/// Take the query-tally lock; a panic elsewhere never poisons the
+/// metrics.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|p| p.into_inner())
 }
@@ -355,7 +297,8 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Sentinel for `last_worker_death_ms`: no worker has died.
 const NEVER: u64 = u64::MAX;
 
-/// Shared, lock-free metrics hub.
+/// Shared metrics hub: atomics, plus one mutex for the per-query
+/// tallies.
 pub struct Metrics {
     started: Instant,
     /// One atomic per [`Counter`], indexed by variant.
@@ -366,21 +309,10 @@ pub struct Metrics {
     last_worker_death_ms: AtomicU64,
     /// Distribution of dispatched batch sizes.
     batch_size: SizeHistogram,
-    /// Per-wrapper page/tuple tallies keyed by wrapper name — the one
-    /// dynamically-keyed dimension, so it sits behind a mutex (taken for
-    /// a few map operations per *page*, not per connection event).
-    wrappers: Mutex<BTreeMap<String, WrapperCounters>>,
-    /// Per-query evaluation tallies keyed by query name (same dynamic-key
-    /// rationale as `wrappers`; touched once per `/query` request).
+    /// Per-query evaluation tallies keyed by query name — dynamically
+    /// keyed, so it sits behind a mutex (touched once per `/query`
+    /// request).
     queries: Mutex<BTreeMap<String, QueryCounters>>,
-    /// Per-wrapper drift detector windows + health, fed by the same
-    /// per-page outcomes as the tallies above.
-    drift: Mutex<BTreeMap<String, DriftState>>,
-    /// Sliding-window size for drift detection (0 disables detection).
-    drift_window: AtomicUsize,
-    /// Failure/empty-rate threshold that flags drift, stored as `f64`
-    /// bits so the hot path stays lock-free.
-    drift_threshold_bits: AtomicU64,
 }
 
 impl Metrics {
@@ -391,11 +323,7 @@ impl Metrics {
             endpoints: Default::default(),
             last_worker_death_ms: AtomicU64::new(NEVER),
             batch_size: SizeHistogram::default(),
-            wrappers: Mutex::new(BTreeMap::new()),
             queries: Mutex::new(BTreeMap::new()),
-            drift: Mutex::new(BTreeMap::new()),
-            drift_window: AtomicUsize::new(0),
-            drift_threshold_bits: AtomicU64::new(1.0f64.to_bits()),
         }
     }
 
@@ -466,118 +394,6 @@ impl Metrics {
         }
     }
 
-    /// One page's extraction outcome under `name`, from `/extract` or
-    /// `/pipeline` alike (a successful page emits one tuple). Feeds both
-    /// the per-wrapper tallies and the drift detector window; returns
-    /// `true` when this page newly flagged the wrapper as Degraded.
-    pub fn record_wrapper_outcome(&self, name: &str, outcome: PageOutcome) -> bool {
-        {
-            let mut map = lock(&self.wrappers);
-            let c = map.entry(name.to_string()).or_default();
-            match outcome {
-                PageOutcome::Ok => {
-                    c.pages_ok += 1;
-                    c.tuples_emitted += 1;
-                }
-                PageOutcome::Empty => c.results_empty += 1,
-                PageOutcome::Failed => c.pages_failed += 1,
-            }
-        }
-        self.drift_observe(name, outcome)
-    }
-
-    /// Configure drift detection: flag a wrapper Degraded when, over the
-    /// last `window` pages, the hard-failure rate or the empty-result
-    /// rate reaches `threshold`. `window == 0` disables detection.
-    pub fn configure_drift(&self, window: usize, threshold: f64) {
-        self.drift_window.store(window, Ordering::Relaxed);
-        self.drift_threshold_bits
-            .store(threshold.to_bits(), Ordering::Relaxed);
-    }
-
-    pub fn drift_window(&self) -> usize {
-        self.drift_window.load(Ordering::Relaxed)
-    }
-
-    pub fn drift_threshold(&self) -> f64 {
-        f64::from_bits(self.drift_threshold_bits.load(Ordering::Relaxed))
-    }
-
-    /// Push one page outcome into `name`'s sliding window and re-evaluate
-    /// the drift predicate. Detection only ever *flags* (Healthy →
-    /// Degraded); recovery goes through a successful repair or a manual
-    /// install, never through the window quietly refilling with
-    /// successes — a wrapper that was drifting stays visible until acted
-    /// on. Returns `true` on a new flag.
-    fn drift_observe(&self, name: &str, outcome: PageOutcome) -> bool {
-        let window = self.drift_window();
-        if window == 0 {
-            return false;
-        }
-        let mut map = lock(&self.drift);
-        let st = map.entry(name.to_string()).or_default();
-        if st.recent.len() == window {
-            st.recent.pop_front();
-        }
-        st.recent.push_back(outcome);
-        if st.health != WrapperHealth::Healthy {
-            return false;
-        }
-        let flagged = if drift_detect_forced() {
-            true
-        } else if st.recent.len() == window {
-            let rate = |o: PageOutcome| {
-                st.recent.iter().filter(|&&r| r == o).count() as f64 / window as f64
-            };
-            let threshold = self.drift_threshold();
-            rate(PageOutcome::Failed) >= threshold || rate(PageOutcome::Empty) >= threshold
-        } else {
-            false
-        };
-        if flagged {
-            st.health = WrapperHealth::Degraded;
-            self.add(Counter::DriftFlagged, 1);
-        }
-        flagged
-    }
-
-    /// The wrapper's current health (Healthy if never observed).
-    pub fn wrapper_health(&self, name: &str) -> WrapperHealth {
-        lock(&self.drift)
-            .get(name)
-            .map(|s| s.health)
-            .unwrap_or(WrapperHealth::Healthy)
-    }
-
-    /// Transition a wrapper's health (the repair supervisor's lever);
-    /// returns the previous state.
-    pub fn set_wrapper_health(&self, name: &str, health: WrapperHealth) -> WrapperHealth {
-        let mut map = lock(&self.drift);
-        let st = map.entry(name.to_string()).or_default();
-        std::mem::replace(&mut st.health, health)
-    }
-
-    /// Reset a wrapper's drift state to Healthy with an empty window —
-    /// called after a successful repair install or a manual
-    /// `POST /wrappers/{name}`, both of which replace the wrapper the
-    /// evidence was collected against.
-    pub fn reset_wrapper_drift(&self, name: &str) {
-        let mut map = lock(&self.drift);
-        let st = map.entry(name.to_string()).or_default();
-        st.recent.clear();
-        st.health = WrapperHealth::Healthy;
-    }
-
-    /// Every wrapper whose health is not Healthy, sorted by name — the
-    /// repair supervisor's worklist and `/healthz`'s degradation signal.
-    pub fn unhealthy_wrappers(&self) -> Vec<(String, WrapperHealth)> {
-        lock(&self.drift)
-            .iter()
-            .filter(|(_, s)| s.health != WrapperHealth::Healthy)
-            .map(|(n, s)| (n.clone(), s.health))
-            .collect()
-    }
-
     /// Write every [`Counter`] of `section`, in table order.
     fn counters<'a>(&self, o: Obj<'a>, section: Section) -> Obj<'a> {
         Counter::ALL
@@ -589,8 +405,14 @@ impl Metrics {
     /// The full `/metrics` document. `engines` maps each installed
     /// wrapper's name to its extraction-engine size (symbol classes);
     /// the server reads it from the live registry, so a hot install
-    /// shows up without a restart.
-    pub fn render_json(&self, store: &StoreStats, engines: &[(&str, u64)]) -> String {
+    /// shows up without a restart. `lifecycle` gives the `wrappers` rows
+    /// and the drift policy.
+    pub fn render_json(
+        &self,
+        store: &StoreStats,
+        engines: &[(&str, u64)],
+        lifecycle: &Lifecycle,
+    ) -> String {
         json::object(|o| {
             let o = o.num("uptime_ms", self.started.elapsed().as_millis() as u64);
             let o = self
@@ -610,17 +432,7 @@ impl Metrics {
                         })
                     })
                 })
-                .obj("wrappers", |o| {
-                    lock(&self.wrappers).iter().fold(o, |o, (name, c)| {
-                        o.obj(name, |o| {
-                            o.num("pages_ok", c.pages_ok)
-                                .num("pages_failed", c.pages_failed)
-                                .num("results_empty", c.results_empty)
-                                .num("tuples_emitted", c.tuples_emitted)
-                                .str("health", self.wrapper_health(name).name())
-                        })
-                    })
-                })
+                .obj("wrappers", |o| lifecycle.render(o))
                 .obj("queries", |o| {
                     lock(&self.queries).iter().fold(o, |o, (name, c)| {
                         o.obj(name, |o| {
@@ -632,8 +444,8 @@ impl Metrics {
                 })
                 .obj("drift", |d| {
                     let d = d
-                        .num("window", self.drift_window() as u64)
-                        .float("threshold", self.drift_threshold());
+                        .num("window", lifecycle.window as u64)
+                        .float("threshold", lifecycle.threshold);
                     self.counters(d, Section::Drift)
                 })
                 .obj("pipeline", |p| self.counters(p, Section::Pipeline))
@@ -711,7 +523,11 @@ mod tests {
 
     #[test]
     fn metrics_render() {
+        use rextract_corpus::PageEvent;
+        use rextract_wrapper::PageOutcome;
+
         let m = Metrics::new();
+        let life = Lifecycle::new(0, 1.0);
         m.record(Endpoint::Extract, 200, 120);
         m.record(Endpoint::Extract, 422, 80);
         m.add(Counter::Rejected, 1);
@@ -724,12 +540,19 @@ mod tests {
         m.record_batch(7);
         use PageOutcome::{Empty, Failed, Ok};
         for outcome in [Ok, Failed, Empty, Ok, Ok, Ok, Failed] {
-            m.record_wrapper_outcome("demo", outcome);
+            let targets: &[usize] = if outcome == Ok { &[0] } else { &[] };
+            let page = PageEvent {
+                wrapper: "demo",
+                tokens: &[],
+                outcome,
+                targets,
+            };
+            life.observe(&page, &m);
         }
         m.add(Counter::PipelinePages, 10);
         m.add(Counter::PipelineUnrouted, 2);
         m.add(Counter::PipelineReadErrors, 1);
-        let json = m.render_json(&StoreStats::default(), &[("demo", 5)]);
+        let json = m.render_json(&StoreStats::default(), &[("demo", 5)], &life);
         assert!(json.contains("\"queue_depth\":3"), "{json}");
         assert!(json.contains("\"rejected_total\":1"));
         assert!(json.contains("\"extract\":{\"requests\":2,\"errors\":1"));
@@ -763,86 +586,6 @@ mod tests {
             json.contains("\"engines\":{\"demo\":{\"classes\":5}}"),
             "{json}"
         );
-    }
-
-    #[test]
-    fn drift_flags_on_empty_rate_over_full_window() {
-        let m = Metrics::new();
-        m.configure_drift(4, 0.5);
-        // Window not yet full: no flag even at 100% empty.
-        assert!(!m.record_wrapper_outcome("w", PageOutcome::Empty));
-        assert!(!m.record_wrapper_outcome("w", PageOutcome::Empty));
-        assert!(!m.record_wrapper_outcome("w", PageOutcome::Ok));
-        assert_eq!(m.wrapper_health("w"), WrapperHealth::Healthy);
-        // Fourth page fills the window at 3/4 empty ≥ 0.5: flag.
-        assert!(m.record_wrapper_outcome("w", PageOutcome::Empty));
-        assert_eq!(m.wrapper_health("w"), WrapperHealth::Degraded);
-        assert_eq!(m.get(Counter::DriftFlagged), 1);
-        // Already flagged: no double count.
-        assert!(!m.record_wrapper_outcome("w", PageOutcome::Empty));
-        assert_eq!(m.get(Counter::DriftFlagged), 1);
-        assert_eq!(
-            m.unhealthy_wrappers(),
-            vec![("w".to_string(), WrapperHealth::Degraded)]
-        );
-    }
-
-    #[test]
-    fn drift_flags_on_failure_rate_and_resets_on_reinstall() {
-        let m = Metrics::new();
-        m.configure_drift(2, 1.0);
-        m.record_wrapper_outcome("w", PageOutcome::Failed);
-        assert!(m.record_wrapper_outcome("w", PageOutcome::Failed));
-        assert_eq!(m.wrapper_health("w"), WrapperHealth::Degraded);
-        m.reset_wrapper_drift("w");
-        assert_eq!(m.wrapper_health("w"), WrapperHealth::Healthy);
-        assert!(m.unhealthy_wrappers().is_empty());
-        // The window was cleared too: one more failure is not enough.
-        assert!(!m.record_wrapper_outcome("w", PageOutcome::Failed));
-    }
-
-    #[test]
-    fn flagged_health_is_sticky_under_later_successes() {
-        let m = Metrics::new();
-        m.configure_drift(2, 1.0);
-        m.record_wrapper_outcome("w", PageOutcome::Empty);
-        m.record_wrapper_outcome("w", PageOutcome::Empty);
-        assert_eq!(m.wrapper_health("w"), WrapperHealth::Degraded);
-        for _ in 0..8 {
-            m.record_wrapper_outcome("w", PageOutcome::Ok);
-        }
-        assert_eq!(
-            m.wrapper_health("w"),
-            WrapperHealth::Degraded,
-            "recovery goes through repair, not through the window refilling"
-        );
-    }
-
-    #[test]
-    fn drift_disabled_with_zero_window() {
-        let m = Metrics::new();
-        for _ in 0..100 {
-            m.record_wrapper_outcome("w", PageOutcome::Failed);
-        }
-        assert_eq!(m.wrapper_health("w"), WrapperHealth::Healthy);
-        assert_eq!(m.get(Counter::DriftFlagged), 0);
-    }
-
-    #[test]
-    fn health_transitions_and_repair_counters() {
-        let m = Metrics::new();
-        m.configure_drift(1, 1.0);
-        m.record_wrapper_outcome("w", PageOutcome::Empty);
-        assert_eq!(
-            m.set_wrapper_health("w", WrapperHealth::Repairing),
-            WrapperHealth::Degraded
-        );
-        m.add(Counter::RepairsAttempted, 2);
-        m.add(Counter::RepairsFailed, 1);
-        m.add(Counter::RepairsSucceeded, 1);
-        // While Repairing, new bad pages don't re-flag.
-        assert!(!m.record_wrapper_outcome("w", PageOutcome::Empty));
-        assert_eq!(m.get(Counter::DriftFlagged), 1);
     }
 
     #[test]

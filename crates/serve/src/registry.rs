@@ -19,6 +19,13 @@
 //! Reads are `RwLock`-shared; lock acquisitions recover from poisoning so
 //! a panicking request thread cannot take the registry down with it.
 //!
+//! Every writer — [`Registry::install`], a repair's
+//! [`Registry::install_over`] and [`Registry::load_dir`] — holds one
+//! install lock across persisting and swapping in, so memory and disk
+//! agree under concurrent installs. A revision is the serving revision + 1
+//! (1 for a new name), taken under that lock: revisions never go
+//! backwards, and a failed install consumes none.
+//!
 //! # Incremental reloads
 //!
 //! A rescan remembers each artifact's `(mtime, len)` signature from the
@@ -153,21 +160,26 @@ type FileSig = (SystemTime, u64);
 pub struct Registry {
     wrappers: RwLock<HashMap<String, Arc<Wrapper>>>,
     dir: Option<PathBuf>,
-    /// path → signature at the last clean import; consulted by `load_dir`
-    /// to skip unchanged artifacts. Entries for vanished files are pruned
-    /// at the end of each scan.
+    /// The install lock, guarding path → signature at the last clean
+    /// import; consulted by `load_dir` to skip unchanged artifacts.
+    /// Entries for vanished files are pruned at the end of each scan.
     seen: Mutex<HashMap<PathBuf, FileSig>>,
-    /// name → install generation. Every install of a name (boot load,
-    /// reload, hot install, online repair) bumps the counter and stamps it
-    /// into the wrapper as [`Wrapper::revision`], so provenance records can
-    /// distinguish tuples produced before and after a hot swap.
-    generations: Mutex<HashMap<String, u32>>,
 }
 
 /// The `(mtime, len)` signature of `path`, if statable.
 fn file_sig(path: &Path) -> Option<FileSig> {
     let meta = std::fs::metadata(path).ok()?;
     Some((meta.modified().ok()?, meta.len()))
+}
+
+/// Validate `name` and import `artifact` — outside the install lock.
+fn import_named(name: &str, artifact: &str) -> Result<Wrapper, InstallError> {
+    if !valid_name(name) {
+        return Err(InstallError::Invalid(format!(
+            "invalid wrapper name {name:?} (want [A-Za-z0-9._-]+, no leading dot)"
+        )));
+    }
+    Wrapper::import(artifact).map_err(|e| InstallError::Invalid(e.to_string()))
 }
 
 /// Valid wrapper names: non-empty, `[A-Za-z0-9._-]`, no leading dot — a
@@ -188,20 +200,11 @@ impl Registry {
             wrappers: RwLock::new(HashMap::new()),
             dir,
             seen: Mutex::new(HashMap::new()),
-            generations: Mutex::new(HashMap::new()),
         }
     }
 
-    /// Bump and return the install generation for `name` (1 for the first
-    /// install).
-    fn next_generation(&self, name: &str) -> u32 {
-        let mut guard = self.generations.lock().unwrap_or_else(|e| e.into_inner());
-        let gen = guard.entry(name.to_string()).or_insert(0);
-        *gen += 1;
-        *gen
-    }
-
-    fn seen(&self) -> std::sync::MutexGuard<'_, HashMap<PathBuf, FileSig>> {
+    /// Take the install lock.
+    fn installs(&self) -> std::sync::MutexGuard<'_, HashMap<PathBuf, FileSig>> {
         self.seen.lock().unwrap_or_else(|e| e.into_inner())
     }
 
@@ -216,6 +219,39 @@ impl Registry {
     /// The backing directory, if configured.
     pub fn dir(&self) -> Option<&Path> {
         self.dir.as_deref()
+    }
+
+    /// Serve `wrapper` as `name`'s next revision, stamped into it as
+    /// [`Wrapper::revision`] so provenance records can tell tuples from
+    /// before and after a hot swap. The caller holds the install lock.
+    fn swap_in(&self, name: &str, mut wrapper: Wrapper) -> Arc<Wrapper> {
+        let mut map = self.write();
+        wrapper.set_revision(map.get(name).map_or(0, |w| w.revision()) + 1);
+        let wrapper = Arc::new(wrapper);
+        map.insert(name.to_string(), Arc::clone(&wrapper));
+        wrapper
+    }
+
+    /// Persist `artifact` to the backing directory, if configured, and
+    /// record its signature in the held install lock's `seen` so the next
+    /// rescan skips it.
+    fn persist(
+        &self,
+        seen: &mut HashMap<PathBuf, FileSig>,
+        name: &str,
+        artifact: &str,
+    ) -> Result<(), InstallError> {
+        let Some(dir) = &self.dir else {
+            return Ok(());
+        };
+        let path = dir.join(format!("{name}.wrapper"));
+        rextract_wrapper::persist::save_artifact(&path, artifact)
+            .map_err(|e| InstallError::Io(format!("persisting {}: {e}", path.display())))?;
+        match file_sig(&path) {
+            Some(sig) => seen.insert(path, sig),
+            None => seen.remove(&path),
+        };
+        Ok(())
     }
 
     /// Scan the backing directory for `*.wrapper` artifacts and install
@@ -235,6 +271,7 @@ impl Registry {
             .filter(|p| p.extension().is_some_and(|e| e == "wrapper"))
             .collect();
         entries.sort();
+        let mut seen = self.installs();
         for path in &entries {
             let file = path
                 .file_name()
@@ -253,7 +290,7 @@ impl Registry {
             // re-read on the next scan rather than being masked.
             let sig = file_sig(path);
             if let Some(sig) = sig {
-                let unchanged = self.seen().get(path) == Some(&sig);
+                let unchanged = seen.get(path) == Some(&sig);
                 if unchanged && self.read().contains_key(&name) {
                     report.skipped_unchanged += 1;
                     continue;
@@ -262,43 +299,38 @@ impl Registry {
             let text = match read_artifact(path, &mut report.io_retries) {
                 Ok(t) => t,
                 Err(e) => {
-                    self.seen().remove(path);
+                    seen.remove(path);
                     report.errors.push((file, e.to_string()));
                     continue;
                 }
             };
             match Wrapper::import(&text) {
-                Ok(mut w) => {
-                    w.set_revision(self.next_generation(&name));
-                    self.write().insert(name.clone(), Arc::new(w));
+                Ok(w) => {
+                    self.swap_in(&name, w);
                     match sig {
-                        Some(sig) => {
-                            self.seen().insert(path.clone(), sig);
-                        }
-                        None => {
-                            self.seen().remove(path);
-                        }
-                    }
+                        Some(sig) => seen.insert(path.clone(), sig),
+                        None => seen.remove(path),
+                    };
                     report.loaded.push(name);
                 }
                 Err(e @ (PersistError::Truncated | PersistError::Corrupt { .. })) => {
                     // Torn or bit-rotted on disk: move it out of the scan
                     // path so one bad write cannot fail every reload.
-                    self.seen().remove(path);
+                    seen.remove(path);
                     if quarantine(path) {
                         report.quarantined.push(file.clone());
                     }
                     report.errors.push((file, e.to_string()));
                 }
                 Err(e) => {
-                    self.seen().remove(path);
+                    seen.remove(path);
                     report.errors.push((file, e.to_string()));
                 }
             }
         }
         // Prune signatures for files no longer in the directory, so the
         // map stays bounded by the scanned set.
-        self.seen().retain(|p, _| entries.binary_search(p).is_ok());
+        seen.retain(|p, _| entries.binary_search(p).is_ok());
         Ok(report)
     }
 
@@ -309,32 +341,43 @@ impl Registry {
     /// crash mid-install can never leave a torn artifact at the scanned
     /// path.
     pub fn install(&self, name: &str, artifact: &str) -> Result<Arc<Wrapper>, InstallError> {
-        if !valid_name(name) {
-            return Err(InstallError::Invalid(format!(
-                "invalid wrapper name {name:?} (want [A-Za-z0-9._-]+, no leading dot)"
-            )));
+        self.install_with(name, artifact, || {})
+    }
+
+    /// [`Registry::install`], running `replacing` under the install lock
+    /// once the artifact has persisted, just before the new wrapper
+    /// becomes visible. The daemon resets the wrapper's lifecycle there,
+    /// so no repair can start against the new revision with the replaced
+    /// one's drift verdict and evidence.
+    pub fn install_with(
+        &self,
+        name: &str,
+        artifact: &str,
+        replacing: impl FnOnce(),
+    ) -> Result<Arc<Wrapper>, InstallError> {
+        let wrapper = import_named(name, artifact)?;
+        let mut seen = self.installs();
+        self.persist(&mut seen, name, artifact)?;
+        replacing();
+        Ok(self.swap_in(name, wrapper))
+    }
+
+    /// Install a repair's `artifact` as `name`'s next revision, but only
+    /// while `revision` still serves. `Ok(None)` wrote nothing: a newer
+    /// install replaced the wrapper the repair was trained against.
+    pub fn install_over(
+        &self,
+        name: &str,
+        artifact: &str,
+        revision: u32,
+    ) -> Result<Option<Arc<Wrapper>>, InstallError> {
+        let wrapper = import_named(name, artifact)?;
+        let mut seen = self.installs();
+        if self.get(name).map(|w| w.revision()) != Some(revision) {
+            return Ok(None);
         }
-        let mut wrapper =
-            Wrapper::import(artifact).map_err(|e| InstallError::Invalid(e.to_string()))?;
-        wrapper.set_revision(self.next_generation(name));
-        let wrapper = Arc::new(wrapper);
-        if let Some(dir) = &self.dir {
-            let path = dir.join(format!("{name}.wrapper"));
-            rextract_wrapper::persist::save_artifact(&path, artifact)
-                .map_err(|e| InstallError::Io(format!("persisting {}: {e}", path.display())))?;
-            // What we just wrote is what is installed: record its
-            // signature so the next rescan skips it.
-            match file_sig(&path) {
-                Some(sig) => {
-                    self.seen().insert(path, sig);
-                }
-                None => {
-                    self.seen().remove(&path);
-                }
-            }
-        }
-        self.write().insert(name.to_string(), Arc::clone(&wrapper));
-        Ok(wrapper)
+        self.persist(&mut seen, name, artifact)?;
+        Ok(Some(self.swap_in(name, wrapper)))
     }
 
     /// Resolve a wrapper by name.
@@ -459,9 +502,38 @@ mod tests {
         assert_eq!(
             r.install("other", &artifact(5)).unwrap().revision(),
             1,
-            "generations are per name"
+            "revisions are per name"
         );
         assert_eq!(r.get("demo").unwrap().revision(), 2);
+    }
+
+    #[test]
+    fn concurrent_installs_serve_the_last_revision() {
+        let artifacts: Vec<String> = (0..8).map(|t| artifact(20 + t)).collect();
+        for round in 0..20 {
+            let dir = temp_dir(&format!("concurrent-{round}"));
+            let r = Registry::new(Some(dir.clone()));
+            let start = std::sync::Barrier::new(artifacts.len());
+            std::thread::scope(|s| {
+                for artifact in &artifacts {
+                    let (r, start) = (&r, &start);
+                    s.spawn(move || {
+                        start.wait();
+                        for _ in 0..5 {
+                            r.install("demo", artifact).unwrap();
+                        }
+                    });
+                }
+            });
+            let served = r.get("demo").unwrap();
+            assert_eq!(served.revision(), 40, "round {round}");
+            assert_eq!(
+                std::fs::read_to_string(dir.join("demo.wrapper")).unwrap(),
+                served.export(),
+                "round {round}: memory and disk disagree"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

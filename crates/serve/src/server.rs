@@ -41,12 +41,12 @@
 //! A dying worker's unprocessed batch items surface as
 //! [`Completion::Abort`]s — the loop closes those connections, so no
 //! request is ever silently dropped. `/healthz` reports `"degraded"`
-//! while short-handed or shortly after a death.
+//! while short-handed or within a second of a death.
 
-use crate::drift::{run_repair, RepairHub};
+use crate::drift::{run_repair, Attempt, Lifecycle, WrapperHealth};
 use crate::epoll::{self, Epoll, Waker, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::http::{parse_request, Parse, ParseError, Request, Response};
-use crate::metrics::{Counter, Endpoint, Metrics, WrapperHealth};
+use crate::metrics::{Counter, Endpoint, Metrics};
 use crate::pool::{Batch, Completion, CompletionQueue, JobQueue, WorkItem};
 use crate::queries::{QueryInstallError, QueryStore};
 use crate::registry::{InstallError, LoadReport, Registry, ResolveError};
@@ -72,6 +72,11 @@ use std::time::{Duration, Instant};
 /// Supervisor sweep interval: how often dead workers are reaped and
 /// replaced. Small enough that a respawn beats any healthz poll.
 const SUPERVISE_EVERY: Duration = Duration::from_millis(5);
+
+/// How long after a worker death `/healthz` keeps reporting
+/// `"degraded"`. Respawn takes single-digit milliseconds; the window
+/// keeps the incident observable to a poller.
+const DEGRADED_WINDOW: Duration = Duration::from_secs(1);
 
 /// Epoll cookie for the listening socket.
 const LISTENER_TOKEN: u64 = u64::MAX;
@@ -113,13 +118,13 @@ struct Ctx {
     queries: Arc<QueryStore>,
     metrics: Arc<Metrics>,
     shutdown: Arc<Shutdown>,
-    repair: Arc<RepairHub>,
+    /// Every wrapper's tallies, drift window, health and repair evidence.
+    lifecycle: Arc<Lifecycle>,
     /// The one per-page observer `/extract` and `/pipeline` both feed
     /// (see [`page_observer`]).
     observer: Arc<PageObserver>,
     keepalive: Duration,
     request_deadline: Duration,
-    degraded_window: Duration,
     /// 503 drifted wrappers instead of serving best-effort.
     drift_strict: bool,
 }
@@ -194,7 +199,6 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
     }
 
     let metrics = Arc::new(Metrics::new());
-    metrics.configure_drift(config.drift_window, config.drift_threshold);
     record_scan(&metrics, &boot_report);
 
     let epoll = Epoll::new()?;
@@ -208,17 +212,16 @@ pub fn start(config: ServeConfig) -> io::Result<ServerHandle> {
         draining: AtomicBool::new(false),
         waker: Arc::clone(&waker),
     });
-    let repair = Arc::new(RepairHub::new(config.repair_backoff));
+    let lifecycle = Arc::new(Lifecycle::new(config.drift_window, config.drift_threshold));
     let ctx = Arc::new(Ctx {
         registry: Arc::clone(&registry),
         queries: Arc::clone(&queries),
         metrics: Arc::clone(&metrics),
         shutdown: Arc::clone(&shutdown),
-        observer: page_observer(Arc::clone(&metrics), Arc::clone(&repair)),
-        repair,
+        observer: page_observer(Arc::clone(&lifecycle), Arc::clone(&metrics)),
+        lifecycle,
         keepalive: config.keepalive_timeout,
         request_deadline: config.request_deadline,
-        degraded_window: config.degraded_window,
         drift_strict: config.drift_strict,
     });
 
@@ -282,22 +285,13 @@ fn record_scan(metrics: &Metrics, report: &LoadReport) {
 /// it after each page and `/pipeline` hands it to the corpus pipeline as
 /// [`PipelineConfig::observer`], so both surfaces reach the same tallies,
 /// drift windows and repair evidence one page at a time.
-fn page_observer(metrics: Arc<Metrics>, repair: Arc<RepairHub>) -> Arc<PageObserver> {
+fn page_observer(lifecycle: Arc<Lifecycle>, metrics: Arc<Metrics>) -> Arc<PageObserver> {
     Arc::new(move |ev: PageEvent<'_>| {
-        if metrics.record_wrapper_outcome(ev.wrapper, ev.outcome) {
+        if lifecycle.observe(&ev, &metrics) {
             eprintln!(
                 "rextract-serve: drift flagged on wrapper {:?} (window {}, threshold {:.2}); collecting repair evidence",
-                ev.wrapper,
-                metrics.drift_window(),
-                metrics.drift_threshold(),
+                ev.wrapper, lifecycle.window, lifecycle.threshold,
             );
-        }
-        match ev.targets.first() {
-            // Self-labeling: a page the wrapper parses, with the position
-            // it served, is a training sample for a future repair.
-            Some(&target) => repair.record_success(ev.wrapper, ev.tokens, target),
-            // Failing pages are the drift witnesses a repair retrains on.
-            None => repair.record_failure(ev.wrapper, ev.tokens),
         }
     })
 }
@@ -324,7 +318,7 @@ fn supervisor_loop(
     // At most one repair runs at a time: repairs retrain whole wrappers,
     // and serializing them keeps the CPU cost bounded no matter how many
     // wrappers drift at once.
-    let mut repair: Option<(String, JoinHandle<bool>)> = None;
+    let mut repair: Option<(Arc<Attempt>, JoinHandle<bool>)> = None;
     while !ctx.shutdown.draining() {
         std::thread::sleep(SUPERVISE_EVERY);
         repair = supervise_repair(ctx, repair);
@@ -380,90 +374,35 @@ fn supervisor_loop(
 /// attempt for a Degraded wrapper with enough evidence.
 fn supervise_repair(
     ctx: &Arc<Ctx>,
-    repair: Option<(String, JoinHandle<bool>)>,
-) -> Option<(String, JoinHandle<bool>)> {
-    // Harvest a finished attempt. A panicked thread joins to Err — the
-    // mid-repair crash case: the old wrapper was never swapped out, so
-    // it just counts as a failed attempt and the backoff retries.
-    let repair = match repair {
-        Some((name, handle)) if handle.is_finished() => {
+    repair: Option<(Arc<Attempt>, JoinHandle<bool>)>,
+) -> Option<(Arc<Attempt>, JoinHandle<bool>)> {
+    match repair {
+        // A panicked thread joins to Err — the mid-repair crash case: the
+        // old wrapper was never swapped out, so it just counts as a
+        // failed attempt and the backoff retries.
+        Some((attempt, handle)) if handle.is_finished() => {
             let healed = handle.join().unwrap_or(false);
-            if healed {
-                ctx.metrics.add(Counter::RepairsSucceeded, 1);
-                ctx.metrics.reset_wrapper_drift(&name);
-                ctx.repair.reset(&name);
-            } else {
-                ctx.metrics.add(Counter::RepairsFailed, 1);
-                let quarantined = ctx.repair.exhausted(&name);
-                ctx.metrics.set_wrapper_health(
-                    &name,
-                    if quarantined {
-                        WrapperHealth::Quarantined
-                    } else {
-                        WrapperHealth::Degraded
-                    },
-                );
-                eprintln!(
-                    "rextract-serve: repair of wrapper {name:?} failed (attempt {}{})",
-                    ctx.repair.attempts(&name),
-                    if quarantined {
-                        "; quarantined, serving best-effort until reinstalled"
-                    } else {
-                        "; will retry with backoff"
-                    }
-                );
-            }
+            ctx.lifecycle.finish_repair(&attempt, healed, &ctx.metrics);
+        }
+        Some(busy) => return Some(busy),
+        None => {}
+    }
+    let attempt = Arc::new(ctx.lifecycle.begin_repair(&ctx.registry, &ctx.metrics)?);
+    let thread_ctx = Arc::clone(ctx);
+    let thread_attempt = Arc::clone(&attempt);
+    let handle = std::thread::Builder::new()
+        .name("rextract-repair".into())
+        .spawn(move || run_repair(&thread_attempt, &thread_ctx.registry));
+    match handle {
+        Ok(handle) => Some((attempt, handle)),
+        Err(e) => {
+            // Could not even spawn the thread: count it as a failed
+            // attempt, retried after the backoff.
+            eprintln!("rextract-serve: could not spawn repair thread: {e}");
+            ctx.lifecycle.finish_repair(&attempt, false, &ctx.metrics);
             None
         }
-        busy_or_idle => busy_or_idle,
-    };
-    if repair.is_some() {
-        return repair;
     }
-    // Start the next attempt: first Degraded wrapper that is still
-    // installed, under its attempt budget, past its backoff, and holding
-    // enough evidence.
-    for (name, health) in ctx.metrics.unhealthy_wrappers() {
-        if health != WrapperHealth::Degraded || !ctx.repair.ready(&name) {
-            continue;
-        }
-        let Some(wrapper) = ctx.registry.get(&name) else {
-            continue;
-        };
-        ctx.metrics
-            .set_wrapper_health(&name, WrapperHealth::Repairing);
-        ctx.metrics.add(Counter::RepairsAttempted, 1);
-        ctx.repair.note_attempt(&name);
-        eprintln!(
-            "rextract-serve: drift repair of wrapper {name:?} starting (attempt {})",
-            ctx.repair.attempts(&name)
-        );
-        let thread_ctx = Arc::clone(ctx);
-        let thread_name = name.clone();
-        let handle = std::thread::Builder::new()
-            .name("rextract-repair".into())
-            .spawn(move || {
-                run_repair(
-                    &thread_name,
-                    &wrapper,
-                    &thread_ctx.repair,
-                    &thread_ctx.registry,
-                )
-            });
-        match handle {
-            Ok(handle) => return Some((name, handle)),
-            Err(e) => {
-                // Could not even spawn the thread: count it as a failed
-                // attempt and fall back to Degraded for the next tick.
-                eprintln!("rextract-serve: could not spawn repair thread: {e}");
-                ctx.metrics.add(Counter::RepairsFailed, 1);
-                ctx.metrics
-                    .set_wrapper_health(&name, WrapperHealth::Degraded);
-                return None;
-            }
-        }
-    }
-    None
 }
 
 /// Post-accept admission gate. `accept()` succeeding does not mean the
@@ -1169,7 +1108,11 @@ fn handle_metrics(ctx: &Ctx) -> Response {
         .iter()
         .map(|(name, w)| (name.as_str(), w.num_classes() as u64))
         .collect();
-    Response::json(200, ctx.metrics.render_json(&Store::stats(), &engines))
+    Response::json(
+        200,
+        ctx.metrics
+            .render_json(&Store::stats(), &engines, &ctx.lifecycle),
+    )
 }
 
 fn handle_healthz(ctx: &Ctx) -> Response {
@@ -1178,8 +1121,8 @@ fn handle_healthz(ctx: &Ctx) -> Response {
     let recent_death = ctx
         .metrics
         .last_worker_death_age()
-        .is_some_and(|age| age <= ctx.degraded_window);
-    let drifted = ctx.metrics.unhealthy_wrappers();
+        .is_some_and(|age| age <= DEGRADED_WINDOW);
+    let drifted = ctx.lifecycle.unhealthy();
     let status = if alive < configured || recent_death || !drifted.is_empty() {
         "degraded"
     } else {
@@ -1276,7 +1219,7 @@ fn handle_extract_resolved(
         return deadline_response(ctx);
     }
     if ctx.drift_strict {
-        let health = ctx.metrics.wrapper_health(name);
+        let health = ctx.lifecycle.health(name);
         if health != WrapperHealth::Healthy {
             return Response::json(
                 503,
@@ -1405,23 +1348,23 @@ fn handle_install(name: &str, req: &Request, ctx: &Ctx) -> Response {
     if artifact.is_empty() {
         return Response::error(400, "empty body: POST the wrapper artifact");
     }
-    match ctx.registry.install(name, &artifact) {
-        Ok(wrapper) => {
-            // A manual install supersedes any drift verdict: the evidence
-            // and window described the replaced wrapper.
-            ctx.metrics.reset_wrapper_drift(name);
-            ctx.repair.reset(name);
-            Response::json(
-                201,
-                json::object(|o| {
-                    o.str("installed", name)
-                        .num("revision", u64::from(wrapper.revision()))
-                        .bool("maximized", wrapper.is_maximized())
-                        .str("expr", &wrapper.expr().to_text())
-                        .num("wrappers", ctx.registry.len() as u64)
-                }),
-            )
-        }
+    // A manual install supersedes any drift verdict: the evidence and
+    // window described the replaced wrapper. Resetting them before the
+    // swap means no repair can start against the new revision with them.
+    match ctx
+        .registry
+        .install_with(name, &artifact, || ctx.lifecycle.reset(name))
+    {
+        Ok(wrapper) => Response::json(
+            201,
+            json::object(|o| {
+                o.str("installed", name)
+                    .num("revision", u64::from(wrapper.revision()))
+                    .bool("maximized", wrapper.is_maximized())
+                    .str("expr", &wrapper.expr().to_text())
+                    .num("wrappers", ctx.registry.len() as u64)
+            }),
+        ),
         // The client sent a bad artifact vs. the server failed to persist
         // a good one: different status, different party to page.
         Err(InstallError::Invalid(e)) => Response::error(400, &e),

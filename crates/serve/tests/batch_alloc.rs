@@ -1,15 +1,21 @@
 //! Proof of the batched-extraction contract: one `WrapperScratch`
 //! amortized across a batch means a steady-state batch of K same-wrapper
-//! documents performs **zero** extraction-path heap allocations.
+//! documents performs **zero** extraction-path heap allocations — and so
+//! does the daemon's per-page bookkeeping, once the wrapper's drift
+//! window is full and its good-evidence ring holds its first pages.
 //!
 //! Same counting-`#[global_allocator]` idiom as the extraction crate's
 //! `zero_alloc` test: a const-initialized thread-local gate makes the
 //! tally blind to every other thread. Each document goes through
-//! [`Wrapper::extract_page`] against one shared scratch — exactly
-//! what a daemon worker runs per batch item. Training and tokenization
-//! stay outside the counted window, as in the daemon, where tokenization
-//! is per-request but extraction reuses the worker's scratch.
+//! [`Wrapper::extract_page`] against one shared scratch and then
+//! [`Lifecycle::observe`] — exactly what a daemon worker runs per batch
+//! item. Training and tokenization stay outside the counted window, as
+//! in the daemon, where tokenization is per-request but extraction reuses
+//! the worker's scratch.
 
+use rextract_corpus::PageEvent;
+use rextract_serve::drift::Lifecycle;
+use rextract_serve::{Metrics, ServeConfig};
 use rextract_wrapper::site::{PageStyle, SiteConfig, SiteGenerator};
 use rextract_wrapper::wrapper::{TrainPage, Wrapper, WrapperConfig, WrapperScratch};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -81,10 +87,15 @@ fn steady_state_batch_does_not_allocate() {
         })
         .collect();
     let mut scratch = WrapperScratch::new();
-    // Warm-up batch: grow the shared scratch to the largest document —
-    // exactly what serving the first batch does.
-    for doc in &docs {
+    let config = ServeConfig::default();
+    let lifecycle = Lifecycle::new(config.drift_window, config.drift_threshold);
+    let metrics = Metrics::new();
+    // Warm-up: grow the shared scratch to the largest document, fill the
+    // drift window and copy the first 8 good pages — exactly what serving
+    // the first pages does.
+    for doc in docs.iter().cycle().take(config.drift_window.max(8)) {
         let got = wrapper.extract_page(&doc.tokens, &mut scratch);
+        lifecycle.observe(&PageEvent::new("w", &doc.tokens, &got), &metrics);
         assert_eq!(got, Ok(&[doc.target][..]));
     }
 
@@ -93,7 +104,9 @@ fn steady_state_batch_does_not_allocate() {
     let mut extracted = 0;
     for _ in 0..50 {
         for doc in &docs {
-            if let Ok(targets) = wrapper.extract_page(&doc.tokens, &mut scratch) {
+            let got = wrapper.extract_page(&doc.tokens, &mut scratch);
+            lifecycle.observe(&PageEvent::new("w", &doc.tokens, &got), &metrics);
+            if let Ok(targets) = got {
                 extracted += usize::from(targets == [doc.target]);
             }
         }
@@ -104,6 +117,6 @@ fn steady_state_batch_does_not_allocate() {
     assert_eq!(extracted, 50 * docs.len());
     assert_eq!(
         allocs, 0,
-        "steady-state same-wrapper batch performed {allocs} heap allocations"
+        "steady-state same-wrapper batch and its bookkeeping performed {allocs} heap allocations"
     );
 }

@@ -47,12 +47,10 @@ fn drift_config() -> ServeConfig {
         addr: "127.0.0.1:0".into(),
         workers: 2,
         wrapper_dir: None,
-        // Tight loop so the tests observe detection and repair quickly:
-        // 8-page window, half of it failing flags drift, retries 10 ms
-        // apart.
+        // Tight loop so the tests observe detection quickly: 8-page
+        // window, half of it failing flags drift.
         drift_window: 8,
         drift_threshold: 0.5,
-        repair_backoff: Duration::from_millis(10),
         ..ServeConfig::default()
     }
 }
@@ -126,6 +124,24 @@ fn serve_drifted_pages(
         failing.len()
     );
     failing
+}
+
+/// Install seed 61's catalog wrapper as `cat` and drive it to drift: 4
+/// good pages, then 4 it cannot extract. Returns the artifact.
+fn drift_cat(addr: SocketAddr) -> String {
+    let (artifact, mut g) = catalog_artifact(61);
+    assert_eq!(request(addr, "POST", "/wrappers/cat", &artifact).0, 201);
+    serve_good_pages(addr, &mut g, 4);
+    let local = Wrapper::import(&artifact).unwrap();
+    serve_drifted_pages(addr, &mut g, &local, &mut Perturber::new(13), 4);
+    artifact
+}
+
+/// Whether the one repair attempt started so far has finished, either way.
+fn attempt_finished(addr: SocketAddr) -> bool {
+    let (_, m) = request(addr, "GET", "/metrics", "");
+    let done = ["repairs_succeeded", "repairs_failed"].map(|k| json_num(&m, k).unwrap_or(0));
+    done[0] + done[1] >= 1
 }
 
 // ----- scenarios -------------------------------------------------------------
@@ -266,6 +282,84 @@ fn mid_repair_panic_keeps_old_wrapper_serving_and_retries() {
     assert_eq!(status, 200, "{body}");
     assert_eq!(json_num(&body, "position"), Some(good_want), "{body}");
     assert_eq!(json_num(&body, "wrapper_revision"), Some(2), "{body}");
+    request(addr, "POST", "/shutdown", "");
+    handle.join();
+}
+
+/// A manual reinstall while a repair trains supersedes the attempt: the
+/// attempt, trained on the replaced revision's evidence, counts as failed
+/// and leaves the new wrapper's health alone.
+#[test]
+fn reinstall_during_repair_training_keeps_the_new_wrapper_healthy() {
+    let _faults = arm_faults();
+    faults::configure_spec("serve.repair.train=once:sleep(1500)").unwrap();
+    let handle = serve(drift_config()).unwrap();
+    let addr = handle.addr();
+
+    let artifact = drift_cat(addr);
+
+    assert!(
+        poll_until(
+            || request(addr, "GET", "/healthz", "")
+                .1
+                .contains("\"cat\":\"repairing\""),
+            Duration::from_secs(5),
+        ),
+        "repair never started"
+    );
+    let (status, body) = request(addr, "POST", "/wrappers/cat", &artifact);
+    assert_eq!(status, 201, "{body}");
+    assert_eq!(json_num(&body, "revision"), Some(2), "{body}");
+
+    assert!(
+        poll_until(|| attempt_finished(addr), Duration::from_secs(15)),
+        "the superseded attempt never finished"
+    );
+    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    assert_eq!(json_num(&metrics, "repairs_failed"), Some(1), "{metrics}");
+    assert!(metrics.contains("\"health\":\"healthy\""), "{metrics}");
+    let (_, health) = request(addr, "GET", "/healthz", "");
+    assert!(health.contains("\"status\":\"ok\""), "{health}");
+    assert_eq!(handle.registry().get("cat").unwrap().revision(), 2);
+    request(addr, "POST", "/shutdown", "");
+    handle.join();
+}
+
+/// A repair validated against revision 1 must not install once an
+/// operator installed revision 2 while it waited to swap.
+#[test]
+fn repair_never_replaces_a_newer_install() {
+    let _faults = arm_faults();
+    faults::configure_spec("serve.repair.install=once:sleep(1500)").unwrap();
+    let handle = serve(drift_config()).unwrap();
+    let addr = handle.addr();
+
+    drift_cat(addr);
+
+    assert!(
+        poll_until(
+            || faults::evals("serve.repair.install") >= 1,
+            Duration::from_secs(15),
+        ),
+        "repair never reached its install"
+    );
+    let (other, _) = trained_artifact(7);
+    let (status, body) = request(addr, "POST", "/wrappers/cat", &other);
+    assert_eq!(status, 201, "{body}");
+    assert_eq!(json_num(&body, "revision"), Some(2), "{body}");
+
+    assert!(
+        poll_until(|| attempt_finished(addr), Duration::from_secs(15)),
+        "the superseded attempt never finished"
+    );
+    let served = handle.registry().get("cat").unwrap();
+    assert_eq!(served.revision(), 2);
+    assert_eq!(
+        served.expr().to_text(),
+        Wrapper::import(&other).unwrap().expr().to_text()
+    );
+    let (_, metrics) = request(addr, "GET", "/metrics", "");
+    assert_eq!(json_num(&metrics, "repairs_failed"), Some(1), "{metrics}");
     request(addr, "POST", "/shutdown", "");
     handle.join();
 }

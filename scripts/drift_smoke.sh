@@ -66,7 +66,7 @@ done
 echo "== drift smoke: boot with drift detection and a mid-repair panic armed =="
 mkdir "$WORK/registry"
 "$BIN" serve --addr 127.0.0.1:0 --workers 2 --wrapper-dir "$WORK/registry" \
-    --drift-window 8 --drift-threshold 0.5 --repair-backoff-ms 50 \
+    --drift-window 8 --drift-threshold 0.5 \
     --fault 'serve.repair.train=once:panic' >"$OUT" 2>&1 &
 SRV_PID=$!
 for _ in $(seq 1 50); do
