@@ -18,12 +18,17 @@
 //! the store's one lock only around cache lookups and inserts, never
 //! around automaton construction.
 //!
+//! Two constructors build a language in one automaton construction and
+//! stand outside the memo: [`Lang::words`] (a finite language, as one
+//! trie) and [`Lang::chain`] (a concatenation chain, as one NFA).
+//!
 //! This is the type the extraction layer computes with; raw [`Dfa`]/
-//! [`Nfa`](crate::nfa::Nfa) stay internal to hot paths.
+//! [`Nfa`] stay internal to hot paths.
 
 use crate::alphabet::Alphabet;
-use crate::dfa::Dfa;
+use crate::dfa::{Dfa, StateId};
 use crate::intern::LangId;
+use crate::nfa::Nfa;
 use crate::regex::Regex;
 use crate::store::Store;
 use crate::symbol::Symbol;
@@ -47,7 +52,7 @@ impl Lang {
 
     /// The language `{ε}`.
     pub fn epsilon(alphabet: &Alphabet) -> Lang {
-        Lang::from_regex(alphabet, &Regex::Epsilon)
+        Lang::words(alphabet, [&[][..]])
     }
 
     /// `Σ*`.
@@ -57,12 +62,50 @@ impl Lang {
 
     /// The singleton language `{sym}`.
     pub fn sym(alphabet: &Alphabet, sym: Symbol) -> Lang {
-        Lang::from_regex(alphabet, &Regex::sym(alphabet, sym))
+        Lang::words(alphabet, [&[sym][..]])
     }
 
     /// The singleton language containing exactly `word`.
     pub fn literal(alphabet: &Alphabet, word: &[Symbol]) -> Lang {
-        Lang::from_regex(alphabet, &Regex::literal(alphabet, word))
+        Lang::words(alphabet, [word])
+    }
+
+    /// The finite language of `words`, built as one trie and minimized
+    /// once (a fold of [`Lang::union`]s pays a product and a minimization
+    /// per word). No words give `∅`; the empty word is allowed.
+    pub fn words<'w>(alphabet: &Alphabet, words: impl IntoIterator<Item = &'w [Symbol]>) -> Lang {
+        // State 0 is the dead state and state 1 the root; each new trie
+        // node appends a row of transitions to the dead state.
+        let sigma = alphabet.len();
+        let mut table = vec![0; 2 * sigma];
+        let mut accepting = vec![false, false];
+        for word in words {
+            let mut q = 1;
+            for sym in word {
+                assert!(sym.index() < sigma, "symbol outside the alphabet");
+                let slot = q * sigma + sym.index();
+                if table[slot] == 0 {
+                    table[slot] = accepting.len() as StateId;
+                    accepting.push(false);
+                    table.resize(table.len() + sigma, 0);
+                }
+                q = table[slot] as usize;
+            }
+            accepting[q] = true;
+        }
+        Lang::from_dfa(Dfa::from_parts(alphabet.clone(), table, accepting, 1))
+    }
+
+    /// The chain `parts[0]·s1·parts[1]·…·sk·parts[k]`, built with one
+    /// NFA ([`Nfa::chain`]), one subset construction and one minimization
+    /// where a fold of binary [`Lang::concat`]s pays one of each per
+    /// step. Empty `separators` concatenate the parts plainly; otherwise
+    /// there is exactly one between each pair of neighbouring parts. No
+    /// parts give `{ε}`; an empty part gives `∅`. Unlike the binary
+    /// operations it is not memoized: each chain is built once.
+    pub fn chain(alphabet: &Alphabet, parts: &[Lang], separators: &[Symbol]) -> Lang {
+        let dfas: Vec<&Dfa> = parts.iter().map(Lang::dfa).collect();
+        Lang::from_dfa(Dfa::from_nfa(&Nfa::chain(alphabet, &dfas, separators)))
     }
 
     /// Compile a regex (extended operators included).

@@ -2,14 +2,16 @@
 //!
 //! NFAs are the intermediate representation between regexes and DFAs:
 //! the Thompson fragment of [`Regex`] compiles here structurally
-//! ([`Nfa::thompson`]), DFAs convert trivially ([`Nfa::from_dfa`]), and
-//! reversal ([`Nfa::reversed`]) plus multi-start construction support the
+//! ([`Nfa::thompson`]), DFAs convert trivially ([`Nfa::from_dfa`]) and
+//! join into one concatenation chain ([`Nfa::chain`]), and reversal
+//! ([`Nfa::reversed`]) plus multi-start construction support the
 //! quotient operations of [`crate::dfa::quotient`].
 //!
 //! Transitions are labeled by [`SymbolSet`]s so a `[^p]` class is one edge,
 //! not `|Σ|−1` edges.
 
 use crate::alphabet::{Alphabet, SymbolSet};
+use crate::dfa::Dfa;
 use crate::regex::Regex;
 use crate::symbol::Symbol;
 
@@ -196,32 +198,86 @@ impl Nfa {
 
     /// View a DFA as an NFA (needed when an extended-operator subresult is
     /// spliced back into Thompson compilation, and for reversal).
-    pub fn from_dfa(dfa: &crate::dfa::Dfa) -> Nfa {
-        let alphabet = dfa.alphabet().clone();
-        let mut nfa = Nfa::empty(alphabet.clone());
-        for _ in 0..dfa.num_states() {
-            nfa.add_state();
-        }
-        for q in 0..dfa.num_states() as StateId {
-            nfa.states[q as usize].accepting = dfa.is_accepting(q);
-            // Group symbols by target to keep edges compact.
-            let mut by_target: std::collections::HashMap<StateId, SymbolSet> =
-                std::collections::HashMap::new();
-            for sym in alphabet.symbols() {
-                let t = dfa.next(q, sym);
-                by_target
-                    .entry(t)
-                    .or_insert_with(|| alphabet.empty_set())
-                    .insert(sym);
-            }
-            let mut edges: Vec<(StateId, SymbolSet)> = by_target.into_iter().collect();
-            edges.sort_by_key(|(t, _)| *t);
-            for (t, set) in edges {
-                nfa.add_edge(q, set, t);
-            }
+    pub fn from_dfa(dfa: &Dfa) -> Nfa {
+        let mut nfa = Nfa::empty(dfa.alphabet().clone());
+        nfa.splice_dfa(dfa, &vec![true; dfa.num_states()]);
+        for q in 0..dfa.num_states() {
+            nfa.states[q].accepting = dfa.is_accepting(q as StateId);
         }
         nfa.starts = vec![dfa.start()];
         nfa
+    }
+
+    /// The chain `parts[0]·s1·parts[1]·…·sk·parts[k]` as one NFA. Each
+    /// part contributes only its useful states, so the parts' dead states
+    /// never enter the subsets of the determinized chain. A separator is
+    /// one edge from a part's accepting states to the next part's start;
+    /// with no separators the parts are joined by ε-moves (plain
+    /// concatenation). No parts give `{ε}`; an empty part gives `∅`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `separators` is empty or holds exactly one symbol
+    /// between each pair of neighbouring parts.
+    pub fn chain(alphabet: &Alphabet, parts: &[&Dfa], separators: &[Symbol]) -> Nfa {
+        assert!(
+            separators.is_empty() || separators.len() + 1 == parts.len(),
+            "a chain takes one separator between each pair of neighbouring parts"
+        );
+        let mut nfa = Nfa::empty(alphabet.clone());
+        let start = nfa.add_state();
+        nfa.starts.push(start);
+        // The states the next part is entered from: the chain's start,
+        // then each part's accepting states.
+        let mut exits = vec![start];
+        for (i, part) in parts.iter().enumerate() {
+            let useful = part.useful_states();
+            if !useful[part.start() as usize] {
+                return Nfa::empty(alphabet.clone());
+            }
+            let ids = nfa.splice_dfa(part, &useful);
+            let entry = ids[part.start() as usize].expect("the start is useful");
+            let separator = i.checked_sub(1).and_then(|j| separators.get(j));
+            for &exit in &exits {
+                match separator {
+                    Some(&sep) => nfa.add_edge(exit, alphabet.singleton(sep), entry),
+                    None => nfa.add_eps(exit, entry),
+                }
+            }
+            exits = (0..part.num_states())
+                .filter(|&q| part.is_accepting(q as StateId))
+                .filter_map(|q| ids[q])
+                .collect();
+        }
+        for exit in exits {
+            nfa.states[exit as usize].accepting = true;
+        }
+        nfa
+    }
+
+    /// Copy the states of `dfa` that `keep` marks, with the edges between
+    /// them, one edge per target. Returns each state's id here (`None`
+    /// for a dropped state); accepting flags are left to the caller.
+    fn splice_dfa(&mut self, dfa: &Dfa, keep: &[bool]) -> Vec<Option<StateId>> {
+        let ids: Vec<Option<StateId>> = keep.iter().map(|&k| k.then(|| self.add_state())).collect();
+        let alphabet = dfa.alphabet();
+        let mut edges: Vec<(StateId, SymbolSet)> = Vec::new();
+        for (q, from) in ids.iter().enumerate() {
+            let Some(from) = *from else { continue };
+            for sym in alphabet.symbols() {
+                let Some(to) = ids[dfa.next(q as StateId, sym) as usize] else {
+                    continue;
+                };
+                match edges.iter_mut().find(|(t, _)| *t == to) {
+                    Some((_, set)) => set.insert(sym),
+                    None => edges.push((to, alphabet.singleton(sym))),
+                }
+            }
+            for (to, set) in edges.drain(..) {
+                self.add_edge(from, set, to);
+            }
+        }
+        ids
     }
 
     /// The reversal: accepts `wᴿ` iff `self` accepts `w`. Starts become
@@ -283,7 +339,7 @@ impl Nfa {
     }
 
     /// Direct NFA membership test by subset simulation. Mostly for tests —
-    /// production matching goes through a compiled [`Dfa`](crate::dfa::Dfa).
+    /// production matching goes through a compiled [`Dfa`].
     pub fn accepts(&self, input: &[Symbol]) -> bool {
         let mut cur = self.eps_closure(&self.starts);
         for &sym in input {

@@ -211,11 +211,6 @@ impl Regex {
         Regex::concat(std::iter::repeat_n(self.clone(), n))
     }
 
-    /// Build a regex matching exactly the given symbol string.
-    pub fn literal(alphabet: &Alphabet, syms: &[Symbol]) -> Regex {
-        Regex::concat(syms.iter().map(|&s| Regex::sym(alphabet, s)))
-    }
-
     /// True if this node uses an extended operator (`And`/`Not`/`Diff`)
     /// anywhere, i.e. cannot be compiled by pure Thompson construction.
     pub fn has_extended_ops(&self) -> bool {
@@ -333,21 +328,5 @@ mod tests {
             p.repeat(3),
             Regex::Concat(vec![p.clone(), p.clone(), p.clone()])
         );
-    }
-
-    #[test]
-    fn literal_builds_string() {
-        let a = ab();
-        let syms = a.str_to_syms("p q p").unwrap();
-        let r = Regex::literal(&a, &syms);
-        assert_eq!(
-            r,
-            Regex::Concat(vec![
-                Regex::sym(&a, a.sym("p")),
-                Regex::sym(&a, a.sym("q")),
-                Regex::sym(&a, a.sym("p")),
-            ])
-        );
-        assert_eq!(Regex::literal(&a, &[]), Regex::Epsilon);
     }
 }

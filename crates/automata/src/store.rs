@@ -270,7 +270,7 @@ impl Store {
 
     pub fn concat(&self, a: &Lang, b: &Lang) -> Lang {
         self.binary(Op::Concat, a, b, |x, y| {
-            Dfa::from_nfa(&nfa_concat2(Nfa::from_dfa(x), Nfa::from_dfa(y)))
+            Dfa::from_nfa(&Nfa::chain(x.alphabet(), &[x, y], &[]))
         })
     }
 
@@ -488,49 +488,7 @@ impl StoreStats {
     }
 }
 
-// ----- raw NFA compositions used by concat/star ------------------------------
-
-/// NFA concatenation of two NFAs (helper for [`Store::concat`]).
-fn nfa_concat2(n1: Nfa, n2: Nfa) -> Nfa {
-    let alphabet = n1.alphabet().clone();
-    let off = n1.num_states() as u32;
-    let mut edges = Vec::new();
-    let mut eps = Vec::new();
-    let mut accepting = Vec::new();
-    for q in 0..n1.num_states() as u32 {
-        for (set, t) in n1.transitions(q) {
-            edges.push((q, set.clone(), t));
-        }
-        for t in n1.eps_transitions(q) {
-            eps.push((q, t));
-        }
-        if n1.is_accepting(q) {
-            for &s2 in n2.starts() {
-                eps.push((q, s2 + off));
-            }
-        }
-    }
-    for q in 0..n2.num_states() as u32 {
-        for (set, t) in n2.transitions(q) {
-            edges.push((q + off, set.clone(), t + off));
-        }
-        for t in n2.eps_transitions(q) {
-            eps.push((q + off, t + off));
-        }
-        if n2.is_accepting(q) {
-            accepting.push(q + off);
-        }
-    }
-    let starts = n1.starts().to_vec();
-    Nfa::assemble(
-        alphabet,
-        off + n2.num_states() as u32,
-        edges,
-        eps,
-        starts,
-        accepting,
-    )
-}
+// ----- raw NFA composition used by star --------------------------------------
 
 /// NFA Kleene star: fresh accepting hub with ε to starts and from accepts.
 fn nfa_star(inner: Nfa) -> Nfa {

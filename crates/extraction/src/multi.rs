@@ -30,7 +30,7 @@
 use crate::error::ExtractionError;
 use crate::expr::ExtractionExpr;
 use crate::extract::{ExtractFailure, ExtractScratch, Extractor};
-use crate::left_filter::left_filter_maximize_lang;
+use crate::pivot::maximize_pieces;
 use rextract_automata::{Alphabet, Lang, Symbol};
 
 /// A multi-marker extraction expression `E0⟨p1⟩E1⟨p2⟩…⟨pk⟩Ek`.
@@ -119,66 +119,26 @@ impl MultiExtractionExpr {
 
     /// The parsed language `L(E0·p1·E1·…·pk·Ek)`.
     pub fn language(&self) -> Lang {
-        let mut acc = self.segments[0].clone();
-        for (i, &m) in self.markers.iter().enumerate() {
-            acc = acc
-                .concat(&Lang::sym(&self.alphabet, m))
-                .concat(&self.segments[i + 1]);
-        }
-        acc
+        Lang::chain(&self.alphabet, &self.segments, &self.markers)
     }
 
-    /// The collapsed single-marker expression for marker `i`:
-    /// `(E0·p1·…·E(i−1)) ⟨pi⟩ (Ei·…·pk·Ek)`.
-    pub fn collapsed(&self, i: usize) -> ExtractionExpr {
-        assert!(i < self.markers.len());
-        let mut left = self.segments[0].clone();
-        for j in 0..i {
-            left = left
-                .concat(&Lang::sym(&self.alphabet, self.markers[j]))
-                .concat(&self.segments[j + 1]);
-        }
-        let mut right = self.segments[i + 1].clone();
-        for j in i + 1..self.markers.len() {
-            right = right
-                .concat(&Lang::sym(&self.alphabet, self.markers[j]))
-                .concat(&self.segments[j + 1]);
-        }
-        ExtractionExpr::from_langs(left, self.markers[i], right)
-    }
-
-    /// All `k` collapsed expressions at once, sharing the prefix/suffix
-    /// concatenations: `collapsed(i)` rebuilds both chains from scratch,
-    /// so calling it for every `i` costs O(k²) language operations; this
-    /// builds each chain incrementally for O(k) total.
+    /// All `k` collapsed single-marker expressions
+    /// `(E0·p1·…·E(i−1)) ⟨pi⟩ (Ei·p(i+1)·…·Ek)`, in marker order. Each side
+    /// is one [`Lang::chain`], so a collapsed expression costs two
+    /// automaton constructions whatever `k` is.
     pub fn collapsed_all(&self) -> Vec<ExtractionExpr> {
-        let k = self.arity();
-        let mut lefts = Vec::with_capacity(k);
-        let mut acc = self.segments[0].clone();
-        for j in 0..k {
-            lefts.push(acc.clone());
-            if j + 1 < k {
-                acc = acc
-                    .concat(&Lang::sym(&self.alphabet, self.markers[j]))
-                    .concat(&self.segments[j + 1]);
-            }
-        }
-        let mut rights = Vec::with_capacity(k);
-        let mut acc = self.segments[k].clone();
-        for i in (0..k).rev() {
-            rights.push(acc.clone());
-            if i > 0 {
-                acc = self.segments[i]
-                    .concat(&Lang::sym(&self.alphabet, self.markers[i]))
-                    .concat(&acc);
-            }
-        }
-        rights.reverse();
-        lefts
-            .into_iter()
-            .zip(rights)
-            .zip(&self.markers)
-            .map(|((l, r), &p)| ExtractionExpr::from_langs(l, p, r))
+        (0..self.arity())
+            .map(|i| {
+                ExtractionExpr::from_langs(
+                    Lang::chain(&self.alphabet, &self.segments[..=i], &self.markers[..i]),
+                    self.markers[i],
+                    Lang::chain(
+                        &self.alphabet,
+                        &self.segments[i + 1..],
+                        &self.markers[i + 1..],
+                    ),
+                )
+            })
             .collect()
     }
 
@@ -225,16 +185,8 @@ impl MultiExtractionExpr {
             &univ,
             "componentwise maximization requires the final segment to be Σ*"
         );
-        let mut segments = Vec::with_capacity(self.segments.len());
-        for (i, seg) in self.segments[..self.segments.len() - 1].iter().enumerate() {
-            let maxed = left_filter_maximize_lang(seg, self.markers[i]).map_err(|e| {
-                ExtractionError::PivotSegment {
-                    index: i,
-                    source: Box::new(e),
-                }
-            })?;
-            segments.push(maxed);
-        }
+        // Zipping stops at the last marker, so the Σ* tail is left as is.
+        let mut segments = maximize_pieces(self.segments.iter().zip(self.markers.iter().copied()))?;
         segments.push(univ);
         Ok(MultiExtractionExpr {
             alphabet: self.alphabet.clone(),
@@ -272,8 +224,8 @@ pub struct MultiExtractor {
 }
 
 impl MultiExtractor {
-    /// Compile all collapsed expressions (O(k) language operations via
-    /// [`MultiExtractionExpr::collapsed_all`]).
+    /// Compile all collapsed expressions (two automaton constructions
+    /// each, via [`MultiExtractionExpr::collapsed_all`]).
     pub fn compile(expr: &MultiExtractionExpr) -> MultiExtractor {
         MultiExtractor {
             extractors: expr
@@ -454,15 +406,20 @@ mod tests {
     }
 
     #[test]
-    fn collapsed_all_agrees_with_collapsed() {
+    fn collapsed_all_agrees_with_written_out_expressions() {
         let e = m("q* <p> r <q> [^r]* <r> .*");
+        let written = [
+            "q* <p> r q [^r]* r .*",
+            "q* p r <q> [^r]* r .*",
+            "q* p r q [^r]* <r> .*",
+        ];
         let all = e.collapsed_all();
-        assert_eq!(all.len(), e.arity());
-        for (i, c) in all.iter().enumerate() {
-            let one = e.collapsed(i);
-            assert_eq!(c.left(), one.left(), "left mismatch at marker {i}");
-            assert_eq!(c.marker(), one.marker());
-            assert_eq!(c.right(), one.right(), "right mismatch at marker {i}");
+        assert_eq!(all.len(), written.len());
+        for (i, (c, text)) in all.iter().zip(written).enumerate() {
+            let want = ExtractionExpr::parse(&ab(), text).unwrap();
+            assert_eq!(c.left(), want.left(), "left mismatch at marker {i}");
+            assert_eq!(c.marker(), want.marker());
+            assert_eq!(c.right(), want.right(), "right mismatch at marker {i}");
         }
     }
 

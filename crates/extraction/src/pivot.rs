@@ -111,11 +111,9 @@ impl PivotExpr {
     /// Reassemble the (unmaximized) extraction expression
     /// `E1·q1·…·En·qn·E(n+1) ⟨p⟩ Σ*`.
     pub fn to_expr(&self) -> ExtractionExpr {
-        let left = self.concat_left(
-            self.segments.iter().map(|(l, q)| (l.clone(), *q)),
-            &self.tail,
-        );
-        ExtractionExpr::from_langs(left, self.marker, Lang::universe(&self.alphabet))
+        let mut parts: Vec<Lang> = self.segments.iter().map(|(l, _)| l.clone()).collect();
+        parts.push(self.tail.clone());
+        self.assemble(&parts)
     }
 
     /// Pivot maximization (Proposition 6.8): left-filter-maximize every
@@ -139,36 +137,40 @@ impl PivotExpr {
     /// assert!(maximal.is_maximal());
     /// ```
     pub fn maximize(&self) -> Result<ExtractionExpr, ExtractionError> {
-        let mut maxed: Vec<(Lang, Symbol)> = Vec::with_capacity(self.segments.len());
-        for (i, (seg, q)) in self.segments.iter().enumerate() {
-            let m =
-                left_filter_maximize_lang(seg, *q).map_err(|e| ExtractionError::PivotSegment {
-                    index: i,
-                    source: Box::new(e),
-                })?;
-            maxed.push((m, *q));
-        }
-        let tail = left_filter_maximize_lang(&self.tail, self.marker).map_err(|e| {
-            ExtractionError::PivotSegment {
-                index: self.segments.len(),
-                source: Box::new(e),
-            }
-        })?;
-        let left = self.concat_left(maxed.into_iter(), &tail);
-        Ok(ExtractionExpr::from_langs(
-            left,
-            self.marker,
-            Lang::universe(&self.alphabet),
-        ))
+        let pieces = self.segments.iter().map(|(l, q)| (l, *q));
+        let maxed = maximize_pieces(pieces.chain([(&self.tail, self.marker)]))?;
+        Ok(self.assemble(&maxed))
     }
 
-    fn concat_left(&self, segments: impl Iterator<Item = (Lang, Symbol)>, tail: &Lang) -> Lang {
-        let mut acc = Lang::epsilon(&self.alphabet);
-        for (seg, q) in segments {
-            acc = acc.concat(&seg).concat(&Lang::sym(&self.alphabet, q));
-        }
-        acc.concat(tail)
+    /// `parts[0]·q1·…·parts[n−1]·qn·parts[n] ⟨p⟩ Σ*`: the pivots chain
+    /// the `n` segment languages and the tail in one construction.
+    fn assemble(&self, parts: &[Lang]) -> ExtractionExpr {
+        let pivots: Vec<Symbol> = self.segments.iter().map(|(_, q)| *q).collect();
+        ExtractionExpr::from_langs(
+            Lang::chain(&self.alphabet, parts, &pivots),
+            self.marker,
+            Lang::universe(&self.alphabet),
+        )
     }
+}
+
+/// The piecewise step of Proposition 6.8, shared by pivot and tuple
+/// maximization: left-filter-maximize each piece against the symbol
+/// after it (Algorithm 6.2). An error names the failing piece by its
+/// position.
+pub(crate) fn maximize_pieces<'a>(
+    pieces: impl IntoIterator<Item = (&'a Lang, Symbol)>,
+) -> Result<Vec<Lang>, ExtractionError> {
+    pieces
+        .into_iter()
+        .enumerate()
+        .map(|(index, (piece, next))| {
+            left_filter_maximize_lang(piece, next).map_err(|e| ExtractionError::PivotSegment {
+                index,
+                source: Box::new(e),
+            })
+        })
+        .collect()
 }
 
 impl std::fmt::Debug for PivotExpr {

@@ -8,7 +8,9 @@
 //! `item`" may silently shift meaning. The DTD-guided merge restricts
 //! pivot candidates to elements the DTD declares non-repeatable, keeping
 //! the learned expression stable under list growth — precisely the
-//! dynamic-table changes Section 3 worries about.
+//! dynamic-table changes Section 3 worries about. It is the merge walk of
+//! [`crate::merge`] with that eligibility predicate; nothing else
+//! differs.
 //!
 //! Supported declaration subset (enough for catalog-shaped DTDs):
 //!
@@ -18,10 +20,9 @@
 //! <!ELEMENT price (#PCDATA)>
 //! ```
 
-use crate::align::{common_subsequence, leftmost_embedding};
-use crate::merge::LearnError;
+use crate::merge::{merge_walk, LearnError};
 use crate::sample::MarkedSeq;
-use rextract_automata::{Alphabet, Lang, Symbol};
+use rextract_automata::Alphabet;
 use rextract_extraction::PivotExpr;
 use std::collections::{HashMap, HashSet};
 
@@ -118,84 +119,19 @@ impl Dtd {
     }
 }
 
-/// DTD-guided merge: like [`crate::merge::merge_samples`] but a candidate
-/// anchor becomes a pivot only if the DTD marks it non-repeatable (start
-/// tags; close tags inherit their element's class). The usual
-/// left-filtering precondition still applies on top.
+/// DTD-guided merge: the walk of [`crate::merge::merge_samples`] with
+/// one more condition on pivots — a candidate anchor qualifies only if
+/// the DTD marks it non-repeatable (start tags; close tags inherit their
+/// element's class). The usual left-filtering precondition still applies
+/// on top.
 pub fn merge_samples_with_dtd(
     alphabet: &Alphabet,
     samples: &[MarkedSeq],
     dtd: &Dtd,
 ) -> Result<PivotExpr, LearnError> {
-    let first = samples.first().ok_or(LearnError::NoSamples)?;
-    let target_name = first.target_name().to_string();
-    for s in samples {
-        if s.target_name() != target_name {
-            return Err(LearnError::TargetMismatch(
-                target_name.clone(),
-                s.target_name().to_string(),
-            ));
-        }
-    }
-    let marker = alphabet
-        .try_sym(&target_name)
-        .ok_or_else(|| LearnError::UnknownSymbol(target_name.clone()))?;
-
-    let prefixes: Vec<&[String]> = samples.iter().map(|s| s.prefix()).collect();
-    let anchors = common_subsequence(&prefixes);
-    let embeddings: Vec<Vec<usize>> = prefixes
-        .iter()
-        .map(|p| leftmost_embedding(&anchors, p).expect("common subsequence must embed"))
-        .collect();
-
-    let mut segments: Vec<(Lang, Symbol)> = Vec::new();
-    let mut gap_start: Vec<usize> = vec![0; samples.len()];
-    for (j, anchor) in anchors.iter().enumerate() {
-        // DTD guidance: skip repeatable elements as pivots.
-        let element = anchor.strip_prefix('/').unwrap_or(anchor);
-        if dtd.is_repeatable(element) {
-            continue;
-        }
-        let q = alphabet
-            .try_sym(anchor)
-            .ok_or_else(|| LearnError::UnknownSymbol(anchor.clone()))?;
-        let mut seg = Lang::empty(alphabet);
-        for (s, sample) in samples.iter().enumerate() {
-            let lit = names_to_lang(alphabet, &sample.prefix()[gap_start[s]..embeddings[s][j]])?;
-            seg = seg.union(&lit);
-        }
-        if segment_ok(&seg, q) {
-            segments.push((seg, q));
-            for (s, emb) in embeddings.iter().enumerate() {
-                gap_start[s] = emb[j] + 1;
-            }
-        }
-    }
-
-    let mut tail = Lang::empty(alphabet);
-    for (s, sample) in samples.iter().enumerate() {
-        let lit = names_to_lang(alphabet, &sample.prefix()[gap_start[s]..])?;
-        tail = tail.union(&lit);
-    }
-    Ok(PivotExpr::new(alphabet, segments, tail, marker))
-}
-
-fn names_to_lang(alphabet: &Alphabet, names: &[String]) -> Result<Lang, LearnError> {
-    let syms: Result<Vec<Symbol>, LearnError> = names
-        .iter()
-        .map(|n| {
-            alphabet
-                .try_sym(n)
-                .ok_or_else(|| LearnError::UnknownSymbol(n.clone()))
-        })
-        .collect();
-    Ok(Lang::literal(alphabet, &syms?))
-}
-
-fn segment_ok(seg: &Lang, q: Symbol) -> bool {
-    let sigma = seg.alphabet();
-    let q_sigma = Lang::sym(sigma, q).concat(&Lang::universe(sigma));
-    seg.right_quotient(&q_sigma).intersect(seg).is_empty() && seg.max_marker_count(q).is_some()
+    merge_walk(alphabet, samples, |anchor| {
+        !dtd.is_repeatable(anchor.strip_prefix('/').unwrap_or(anchor))
+    })
 }
 
 #[cfg(test)]

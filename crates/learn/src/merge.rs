@@ -9,7 +9,8 @@
 //! 1. computes the common subsequence of the sample *prefixes* (the parts
 //!    before the target) — candidate **pivots**;
 //! 2. embeds it leftmost into every sample and takes, for each pivot, the
-//!    union of the literal gap strings as the segment language;
+//!    union of the literal gap strings as the segment language (one
+//!    [`Lang::words`] trie, not a fold of unions);
 //! 3. keeps a pivot only if its segment satisfies the left-filtering
 //!    precondition (`seg⟨q⟩Σ*` unambiguous with bounded `q`-count) —
 //!    otherwise the pivot symbol is folded into the surrounding gap;
@@ -19,6 +20,11 @@
 //! every training sample and is *geared towards the pivot maximization
 //! framework* (the paper's phrase) — `PivotExpr::maximize` finishes the
 //! job.
+//!
+//! One walk serves both merges: [`merge_samples`] lets every anchor try
+//! to become a pivot, and the DTD-guided merge of [`crate::dtd`] passes
+//! an eligibility predicate that admits only elements the DTD declares
+//! non-repeatable (step 3 then applies to the anchors it admits).
 
 use crate::align::{common_subsequence, leftmost_embedding};
 use crate::sample::MarkedSeq;
@@ -55,19 +61,34 @@ impl std::error::Error for LearnError {}
 /// Run the merging heuristic over `samples`, producing a pivot-form
 /// extraction expression over `alphabet`.
 pub fn merge_samples(alphabet: &Alphabet, samples: &[MarkedSeq]) -> Result<PivotExpr, LearnError> {
+    merge_walk(alphabet, samples, |_| true)
+}
+
+/// The anchor walk behind [`merge_samples`] and the DTD-guided merge
+/// ([`crate::dtd::merge_samples_with_dtd`]): an anchor becomes a pivot
+/// only if `eligible` accepts its name and its segment passes
+/// [`segment_ok`].
+pub(crate) fn merge_walk(
+    alphabet: &Alphabet,
+    samples: &[MarkedSeq],
+    eligible: impl Fn(&str) -> bool,
+) -> Result<PivotExpr, LearnError> {
     let first = samples.first().ok_or(LearnError::NoSamples)?;
-    let target_name = first.target_name().to_string();
+    let target_name = first.target_name();
     for s in samples {
         if s.target_name() != target_name {
             return Err(LearnError::TargetMismatch(
-                target_name.clone(),
+                target_name.to_string(),
                 s.target_name().to_string(),
             ));
         }
     }
-    let marker = alphabet
-        .try_sym(&target_name)
-        .ok_or_else(|| LearnError::UnknownSymbol(target_name.clone()))?;
+    let marker = symbol(alphabet, target_name)?;
+    // Each prefix as symbols, converted once.
+    let words: Vec<Vec<Symbol>> = samples
+        .iter()
+        .map(|s| s.prefix().iter().map(|n| symbol(alphabet, n)).collect())
+        .collect::<Result<_, _>>()?;
 
     // Candidate anchors: common subsequence of the prefixes.
     let prefixes: Vec<&[String]> = samples.iter().map(|s| s.prefix()).collect();
@@ -79,51 +100,41 @@ pub fn merge_samples(alphabet: &Alphabet, samples: &[MarkedSeq]) -> Result<Pivot
         .map(|p| leftmost_embedding(&anchors, p).expect("common subsequence must embed"))
         .collect();
 
-    // Walk anchors left to right, validating each as a pivot.
+    // Walk anchors left to right, validating each as a pivot. A segment
+    // is the finite union of the samples' literal gaps before the anchor.
     let mut segments: Vec<(Lang, Symbol)> = Vec::new();
     let mut gap_start: Vec<usize> = vec![0; samples.len()];
     for (j, anchor) in anchors.iter().enumerate() {
-        let q = alphabet
-            .try_sym(anchor)
-            .ok_or_else(|| LearnError::UnknownSymbol(anchor.clone()))?;
-        // Segment = union over samples of the literal gap before this
-        // anchor occurrence.
-        let mut seg = Lang::empty(alphabet);
-        for (s, sample) in samples.iter().enumerate() {
-            let lit = names_to_lang(alphabet, &sample.prefix()[gap_start[s]..embeddings[s][j]])?;
-            seg = seg.union(&lit);
+        if !eligible(anchor) {
+            continue;
         }
+        let q = words[0][embeddings[0][j]];
+        let gaps = words
+            .iter()
+            .zip(&embeddings)
+            .zip(&gap_start)
+            .map(|((w, emb), &start)| &w[start..emb[j]]);
+        let seg = Lang::words(alphabet, gaps);
         if segment_ok(&seg, q) {
             segments.push((seg, q));
-            for (s, emb) in embeddings.iter().enumerate() {
-                gap_start[s] = emb[j] + 1;
+            for (start, emb) in gap_start.iter_mut().zip(&embeddings) {
+                *start = emb[j] + 1;
             }
         }
         // else: anchor folded into the ongoing gap — gap_start unchanged.
     }
 
-    // Tail: union of the gaps between the last accepted pivot and the
-    // target.
-    let mut tail = Lang::empty(alphabet);
-    for (s, sample) in samples.iter().enumerate() {
-        let lit = names_to_lang(alphabet, &sample.prefix()[gap_start[s]..])?;
-        tail = tail.union(&lit);
-    }
-
+    // Tail: the gaps between the last accepted pivot and the target.
+    let tails = words.iter().zip(&gap_start).map(|(w, &start)| &w[start..]);
+    let tail = Lang::words(alphabet, tails);
     Ok(PivotExpr::new(alphabet, segments, tail, marker))
 }
 
-/// Literal language of a name slice.
-fn names_to_lang(alphabet: &Alphabet, names: &[String]) -> Result<Lang, LearnError> {
-    let syms: Result<Vec<Symbol>, LearnError> = names
-        .iter()
-        .map(|n| {
-            alphabet
-                .try_sym(n)
-                .ok_or_else(|| LearnError::UnknownSymbol(n.clone()))
-        })
-        .collect();
-    Ok(Lang::literal(alphabet, &syms?))
+/// The symbol `name` stands for, or [`LearnError::UnknownSymbol`].
+pub(crate) fn symbol(alphabet: &Alphabet, name: &str) -> Result<Symbol, LearnError> {
+    alphabet
+        .try_sym(name)
+        .ok_or_else(|| LearnError::UnknownSymbol(name.to_string()))
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! pivoting inside regions is a possible refinement, at the cost of a
 //! nested expression type.)
 
-use crate::merge::LearnError;
+use crate::merge::{symbol, LearnError};
 use rextract_automata::{Alphabet, Lang, Symbol};
 use rextract_extraction::MultiExtractionExpr;
 
@@ -69,13 +69,6 @@ impl MultiMarkedSeq {
             .map(|&t| self.names[t].as_str())
             .collect()
     }
-
-    /// Region `r`: names strictly between target `r−1` and target `r`
-    /// (region 0 starts at the beginning).
-    fn region(&self, r: usize) -> &[String] {
-        let start = if r == 0 { 0 } else { self.targets[r - 1] + 1 };
-        &self.names[start..self.targets[r]]
-    }
 }
 
 /// Merge multi-target samples into a [`MultiExtractionExpr`] over
@@ -100,29 +93,29 @@ pub fn merge_multi(
     }
     let markers: Vec<Symbol> = target_names
         .iter()
-        .map(|n| {
-            alphabet
-                .try_sym(n)
-                .ok_or_else(|| LearnError::UnknownSymbol(n.clone()))
+        .map(|n| symbol(alphabet, n))
+        .collect::<Result<_, _>>()?;
+    // Each sample as symbols up to its last target, converted once.
+    let words: Vec<Vec<Symbol>> = samples
+        .iter()
+        .map(|s| {
+            s.names[..s.targets[arity - 1]]
+                .iter()
+                .map(|n| symbol(alphabet, n))
+                .collect()
         })
         .collect::<Result<_, _>>()?;
 
+    // Region `r` lies strictly between target `r−1` and target `r`
+    // (region 0 starts at the beginning); its segment is the finite
+    // union of the samples' region strings.
     let mut segments = Vec::with_capacity(arity + 1);
     for r in 0..arity {
-        let mut seg = Lang::empty(alphabet);
-        for s in samples {
-            let syms: Result<Vec<Symbol>, LearnError> = s
-                .region(r)
-                .iter()
-                .map(|n| {
-                    alphabet
-                        .try_sym(n)
-                        .ok_or_else(|| LearnError::UnknownSymbol(n.clone()))
-                })
-                .collect();
-            seg = seg.union(&Lang::literal(alphabet, &syms?));
-        }
-        segments.push(seg);
+        let regions = samples.iter().zip(&words).map(|(s, w)| {
+            let start = if r == 0 { 0 } else { s.targets[r - 1] + 1 };
+            &w[start..s.targets[r]]
+        });
+        segments.push(Lang::words(alphabet, regions));
     }
     segments.push(Lang::universe(alphabet));
     Ok(MultiExtractionExpr::new(alphabet, segments, markers))

@@ -14,6 +14,10 @@
 //!    label), and the last 16 failing pages as the drift witnesses. Any
 //!    page a revision served labels it as well as any other, so the good
 //!    ring fills once per revision and a steady-state page copies nothing.
+//!    A page over `MAX_EVIDENCE_TOKENS` (4,096) tokens is tallied but never
+//!    kept, since aligning it would need a quadratic LCS table; a wrapper
+//!    whose pages all exceed the bound stays `Degraded` without an
+//!    attempt.
 //! 2. **Relabel.** Artifacts carry no training samples, so the repair
 //!    recovers labels for the failing pages by sequence alignment: the
 //!    LCS between a failing page's tag sequence and a known-good page's
@@ -61,6 +65,11 @@ use crate::registry::Registry;
 const GOOD_CAP: usize = 8;
 /// Failing pages retained per wrapper as repair evidence.
 const FAILING_CAP: usize = 16;
+/// Largest page, in tokens, kept as repair evidence. A repair aligns
+/// pages through `(n+1)×(m+1)` `u32` LCS tables, so at this size one
+/// table holds at most 4,097² entries (≈64 MiB). A larger page still
+/// counts in the tallies and the drift window.
+const MAX_EVIDENCE_TOKENS: usize = 4096;
 /// Repair attempts before a wrapper is quarantined.
 pub const MAX_REPAIR_ATTEMPTS: u32 = 5;
 /// How long after an attempt starts the next may start; doubles per
@@ -196,7 +205,8 @@ impl Lifecycle {
 
     /// One page under `ev.wrapper`, from `/extract` or `/pipeline` alike:
     /// tally it (a successful page emits one tuple), keep it as evidence
-    /// if a ring wants it, and push its outcome into the drift window.
+    /// if a ring wants it and it has at most `MAX_EVIDENCE_TOKENS`
+    /// tokens, and push its outcome into the drift window.
     /// Detection only ever *flags* (Healthy → Degraded), so a drifting
     /// wrapper stays visible until a repair or a manual install acts on
     /// it. Returns `true` when this page newly flagged the wrapper.
@@ -217,6 +227,8 @@ impl Lifecycle {
             PageOutcome::Failed => c.pages_failed += 1,
         }
         match ev.targets.first() {
+            // Too large to align in a repair: tallied, never copied.
+            _ if ev.tokens.len() > MAX_EVIDENCE_TOKENS => {}
             Some(&target) => {
                 if st.good.len() < GOOD_CAP {
                     st.good.push((ev.tokens.to_vec(), target));
@@ -689,6 +701,38 @@ mod tests {
             tuples_emitted: 13,
         };
         assert_eq!(st.counters, want, "reset keeps the tallies");
+    }
+
+    #[test]
+    fn pages_over_the_evidence_bound_are_tallied_but_not_kept() {
+        let m = Metrics::new();
+        let life = Lifecycle::new(2, 1.0);
+        let big: Vec<Token> = (0..=MAX_EVIDENCE_TOKENS)
+            .map(|_| Token::start("a"))
+            .collect();
+        assert_eq!(big.len(), MAX_EVIDENCE_TOKENS + 1);
+        for outcome in [PageOutcome::Ok, PageOutcome::Empty] {
+            let ev = PageEvent {
+                tokens: &big,
+                ..page("w", outcome)
+            };
+            life.observe(&ev, &m);
+        }
+        let map = life.lock();
+        let st = &map["w"];
+        assert!(st.good.is_empty() && st.failing.is_empty());
+        let want = WrapperCounters {
+            pages_ok: 1,
+            pages_failed: 0,
+            results_empty: 1,
+            tuples_emitted: 1,
+        };
+        assert_eq!(st.counters, want);
+        assert_eq!(
+            st.recent,
+            [PageOutcome::Ok, PageOutcome::Empty],
+            "both pages entered the drift window"
+        );
     }
 
     #[test]

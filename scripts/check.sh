@@ -15,6 +15,15 @@ cargo test -q --workspace
 echo "== cargo test (workspace, failpoints) =="
 cargo test -q --workspace --features failpoints
 
+echo "== examples =="
+# Clippy compiles the examples; this runs them. A step that fails its
+# `expect` or `unwrap` exits non-zero and stops the gate.
+for example in examples/*.rs; do
+  name=$(basename "$example" .rs)
+  echo "-- $name"
+  cargo run -q --release --offline --example "$name" > /dev/null
+done
+
 echo "== perfbench build + test =="
 # perfbench is a Cargo workspace of its own, so the steps above never
 # compile it; it builds against the crates' public entry points.

@@ -4,7 +4,7 @@
 //! statistics counters must behave sanely under real workloads.
 
 use proptest::prelude::*;
-use rextract::automata::{Alphabet, Lang, Regex, Store};
+use rextract::automata::{Alphabet, Lang, Regex, Store, Symbol};
 use rextract::extraction::left_filter::left_filter_maximize;
 use rextract::extraction::ExtractionExpr;
 
@@ -354,4 +354,153 @@ fn uncached_store_bypasses_cache_but_still_interns() {
     let u2 = Store::uncached().star(&x);
     // Same canonical language → same interned id, even without the cache.
     assert_eq!(u1.id(), u2.id());
+}
+
+// ----- the one-construction constructors ------------------------------------
+
+/// The one-word language of `word` as a regex, independent of
+/// `Lang::words` (which `Lang::literal` and `Lang::sym` now route
+/// through).
+fn regex_word(a: &Alphabet, word: &[Symbol]) -> Lang {
+    Lang::from_regex(a, &Regex::concat(word.iter().map(|&s| Regex::sym(a, s))))
+}
+
+/// `Lang::words` against the fold it replaces: one memoized `union` per
+/// word, over literals compiled from regexes.
+fn check_words_agree(a: &Alphabet, words: &[Vec<Symbol>]) {
+    let mut fold = Lang::empty(a);
+    for w in words {
+        assert_eq!(Lang::literal(a, w), regex_word(a, w), "literal {w:?}");
+        fold = fold.union(&regex_word(a, w));
+    }
+    assert_eq!(
+        Lang::words(a, words.iter().map(Vec::as_slice)),
+        fold,
+        "words {words:?}"
+    );
+}
+
+/// `Lang::chain` against the fold it replaces:
+/// `parts[0]·sym(s1)·parts[1]·…` through the memoized binary `concat`.
+fn check_chain_agrees(a: &Alphabet, parts: &[Lang], separators: &[Symbol]) {
+    let mut fold = Lang::from_regex(a, &Regex::Epsilon);
+    for (i, part) in parts.iter().enumerate() {
+        if let Some(&s) = i.checked_sub(1).and_then(|j| separators.get(j)) {
+            fold = fold.concat(&Lang::from_regex(a, &Regex::sym(a, s)));
+        }
+        fold = fold.concat(part);
+    }
+    assert_eq!(
+        Lang::chain(a, parts, separators),
+        fold,
+        "{} parts, separators {separators:?}",
+        parts.len()
+    );
+}
+
+/// Random chains over an `n`-symbol alphabet: 0–4 regex parts, and the
+/// separators between them when `separated` is 1.
+fn check_random_chain(n: usize, parts: &[Regex], seps: &[usize], separated: usize) {
+    let a = alphabet_of(n);
+    let langs: Vec<Lang> = parts.iter().map(|r| Lang::from_regex(&a, r)).collect();
+    let separators: Vec<Symbol> = match (separated, langs.len()) {
+        (1, k) if k > 0 => seps[..k - 1]
+            .iter()
+            .map(|&i| a.sym(&format!("t{i}")))
+            .collect(),
+        _ => Vec::new(),
+    };
+    check_chain_agrees(&a, &langs, &separators);
+}
+
+fn check_random_words(n: usize, words: &[Vec<usize>]) {
+    let a = alphabet_of(n);
+    let words: Vec<Vec<Symbol>> = words
+        .iter()
+        .map(|w| w.iter().map(|&i| a.sym(&format!("t{i}"))).collect())
+        .collect();
+    check_words_agree(&a, &words);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn chain_agrees_with_the_concat_fold_sigma2(
+        parts in proptest::collection::vec(arb_regex(2), 0..5),
+        seps in proptest::collection::vec(0..2usize, 4),
+        separated in 0..2usize,
+    ) {
+        check_random_chain(2, &parts, &seps, separated);
+    }
+
+    #[test]
+    fn chain_agrees_with_the_concat_fold_sigma8(
+        parts in proptest::collection::vec(arb_regex(8), 0..5),
+        seps in proptest::collection::vec(0..8usize, 4),
+        separated in 0..2usize,
+    ) {
+        check_random_chain(8, &parts, &seps, separated);
+    }
+
+    #[test]
+    fn words_agree_with_the_union_fold_sigma2(
+        words in proptest::collection::vec(proptest::collection::vec(0..2usize, 0..4), 0..6),
+    ) {
+        check_random_words(2, &words);
+    }
+
+    #[test]
+    fn words_agree_with_the_union_fold_sigma8(
+        words in proptest::collection::vec(proptest::collection::vec(0..8usize, 0..4), 0..6),
+    ) {
+        check_random_words(8, &words);
+    }
+}
+
+/// The contract's edge cases: no parts, empty parts and ε parts, with
+/// and without separators.
+#[test]
+fn chain_edge_cases_agree_with_the_concat_fold() {
+    let a = alphabet_of(2);
+    let l = |s: &str| Lang::parse(&a, s).unwrap();
+    let (t0, t1) = (a.sym("t0"), a.sym("t1"));
+    assert_eq!(Lang::chain(&a, &[], &[]), l("~"));
+    assert_eq!(Lang::chain(&a, &[l("~"), l("~")], &[t1]), l("t1"));
+    assert!(Lang::chain(&a, &[l("t0*"), l("[]"), l("t1")], &[t0, t1]).is_empty());
+    assert!(Lang::chain(&a, &[l("[]")], &[]).is_empty());
+    let cases: [(&[&str], &[Symbol]); 7] = [
+        (&[], &[]),
+        (&["~"], &[]),
+        (&["[]"], &[]),
+        (&["~", "~"], &[]),
+        (&["t0*", "[]", "t1"], &[]),
+        (&["~", "t1*", "~"], &[t0, t0]),
+        (&["(t0 t1)*", "t1?", "[]", ".*"], &[t1, t0, t1]),
+    ];
+    for (parts, separators) in cases {
+        let parts: Vec<Lang> = parts.iter().map(|s| l(s)).collect();
+        check_chain_agrees(&a, &parts, separators);
+    }
+}
+
+/// The contract's edge cases: no words, the empty word, duplicates and
+/// words that are prefixes of each other.
+#[test]
+fn words_edge_cases_agree_with_the_union_fold() {
+    let a = alphabet_of(2);
+    let w = |s: &str| a.str_to_syms(s).unwrap();
+    assert!(Lang::words(&a, []).is_empty());
+    assert_eq!(Lang::words(&a, [&[][..]]), Lang::parse(&a, "~").unwrap());
+    let cases = [
+        vec![],
+        vec![w("")],
+        vec![w(""), w("")],
+        vec![w("t0 t1"), w("t0 t1")],
+        vec![w("t0"), w("t0 t1"), w("t0 t1 t1"), w("")],
+        vec![w("t1 t1 t0"), w("t1"), w("t0 t0"), w("t1 t1")],
+    ];
+    for words in &cases {
+        check_words_agree(&a, words);
+    }
 }
