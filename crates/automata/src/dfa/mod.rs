@@ -101,8 +101,14 @@ impl Dfa {
     /// DFA subresults back into NFA composition. The result is minimized and
     /// canonically numbered.
     pub fn from_regex(alphabet: &Alphabet, regex: &Regex) -> Dfa {
-        let nfa = compile_nfa(alphabet, regex);
-        determinize::determinize(&nfa).minimized()
+        Dfa::determinized_regex(alphabet, regex).minimized()
+    }
+
+    /// [`Dfa::from_regex`] before its minimization: the complete DFA of
+    /// the subset construction. [`Lang::from_regex`](crate::Lang::from_regex)
+    /// hands it to the interner, which minimizes anyway.
+    pub(crate) fn determinized_regex(alphabet: &Alphabet, regex: &Regex) -> Dfa {
+        determinize::determinize(&compile_nfa(alphabet, regex))
     }
 
     /// The alphabet.

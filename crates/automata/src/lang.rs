@@ -108,9 +108,12 @@ impl Lang {
         Lang::from_dfa(Dfa::from_nfa(&Nfa::chain(alphabet, &dfas, separators)))
     }
 
-    /// Compile a regex (extended operators included).
+    /// Compile a regex (extended operators included). The interner
+    /// minimizes every DFA it is given, so the subset construction goes to
+    /// it unminimized: one minimization where [`Dfa::from_regex`] and the
+    /// interner would pay two. The id is the same.
     pub fn from_regex(alphabet: &Alphabet, regex: &Regex) -> Lang {
-        Lang::from_dfa(Dfa::from_regex(alphabet, regex))
+        Lang::from_dfa(Dfa::determinized_regex(alphabet, regex))
     }
 
     /// Parse-and-compile (convenience for tests/examples).

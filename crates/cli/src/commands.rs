@@ -103,6 +103,8 @@ USAGE:
          \"plan\":{\"op\":\"join\",\"left\":{\"op\":\"leaf\",\"var\":\"form\"},
            \"right\":{\"op\":\"leaf\",\"var\":\"field\"},
            \"preds\":[{\"pred\":\"before\",\"left\":\"form\",\"right\":\"field\"}]}}
+      Inline expressions compile once, when the query loads; one that
+      does not parse fails the command before any page is read.
       Each result row prints as one NDJSON record to stdout (or --out)
       with byte-offset provenance per variable; failed pages yield
       inline error lines. --strategy picks the join algorithm (the two
@@ -547,6 +549,7 @@ pub fn query(args: &[String]) -> Result<(), String> {
     let text =
         std::fs::read_to_string(query_path).map_err(|e| format!("reading {query_path}: {e}"))?;
     let def = QueryDef::parse(&text).map_err(|e| format!("{query_path}: {e}"))?;
+    def.compile().map_err(|e| format!("{query_path}: {e}"))?;
     let query_name = std::path::Path::new(query_path)
         .file_stem()
         .and_then(|s| s.to_str())

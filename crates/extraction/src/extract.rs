@@ -109,6 +109,7 @@ impl ExtractScratch {
 /// let doc = sigma.str_to_syms("q q p q p").unwrap();
 /// assert_eq!(extractor.extract_with(&doc, &mut scratch).unwrap().position, 2);
 /// ```
+#[derive(Clone)]
 pub struct Extractor {
     classes: SymbolClasses,
     left: DenseDfa,

@@ -72,5 +72,5 @@ pub use extract::{ExtractScratch, Extractor, NaiveExtractor, TwoPassExtractor};
 pub use multi::{MultiExtractionExpr, MultiExtractor};
 pub use pivot::segment_ok;
 pub use pivot::PivotExpr;
-pub use query::{QueryDef, QueryError, QuerySource, SourceKind};
+pub use query::{QueryDef, QueryError, QuerySource, SourceKind, OTHER};
 pub use span::{Span, SpanRelation};

@@ -153,6 +153,18 @@ impl MultiExtractionExpr {
         MultiExtractor::compile(self)
     }
 
+    /// [`MultiExtractionExpr::compile`] when the expression is
+    /// unambiguous, `None` otherwise. It builds the collapsed expressions
+    /// once for both, where calling [`MultiExtractionExpr::is_unambiguous`]
+    /// and then `compile` builds them twice.
+    pub fn compile_unambiguous(&self) -> Option<MultiExtractor> {
+        let collapsed = self.collapsed_all();
+        collapsed
+            .iter()
+            .all(ExtractionExpr::is_unambiguous)
+            .then(|| MultiExtractor::from_collapsed(&collapsed))
+    }
+
     /// Extract the unique marker tuple from `doc`.
     ///
     /// One-shot convenience: compiles all `k` extractors **per call**.
@@ -227,12 +239,12 @@ impl MultiExtractor {
     /// Compile all collapsed expressions (two automaton constructions
     /// each, via [`MultiExtractionExpr::collapsed_all`]).
     pub fn compile(expr: &MultiExtractionExpr) -> MultiExtractor {
+        MultiExtractor::from_collapsed(&expr.collapsed_all())
+    }
+
+    fn from_collapsed(collapsed: &[ExtractionExpr]) -> MultiExtractor {
         MultiExtractor {
-            extractors: expr
-                .collapsed_all()
-                .iter()
-                .map(Extractor::compile)
-                .collect(),
+            extractors: collapsed.iter().map(Extractor::compile).collect(),
         }
     }
 

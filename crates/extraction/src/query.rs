@@ -30,20 +30,57 @@
 //! Plan nodes: `leaf` (`var`), `project` (`vars`, `input`), `union`
 //! (`left`, `right`), `join` (`left`, `right`, optional `preds`). Parsing
 //! and rendering go through the crate's one JSON module, [`crate::json`].
+//!
+//! ## The compiled form of an inline source
+//!
+//! A parsed query is compiled once and then evaluated on many pages, the
+//! way a document spanner is. Each inline-expression source keeps one
+//! compiled form, [`QuerySource::compiled`]: its closed alphabet and its
+//! [`Extractor`]. It is built on first use and kept in the source, so
+//! every later evaluation of the same parsed query scans with it. A bad
+//! expression is kept as its error, so it is parsed once too.
+//!
+//! The alphabet is closed by one rule: the source's names are split on
+//! whitespace, sorted and deduplicated, and [`OTHER`] (`#other`) is added
+//! when missing. A page name outside the list then abstracts to
+//! `#other`, as it does for a trained wrapper.
+//!
+//! [`QueryDef::parse`] stays a parse and compiles nothing.
+//! [`QueryDef::compile`] forces every inline source's compile and
+//! reports the first bad expression: the daemon calls it before it
+//! installs or loads a query, and `rextract query` when it loads one.
+//! Equality, `Debug` and [`QueryDef::to_json`] are defined by the query
+//! text and plan alone; the compiled form is not part of them.
 
 use crate::algebra::{Plan, Pred, PredOp};
+use crate::expr::ExtractionExpr;
+use crate::extract::Extractor;
 use crate::json::{self, Obj};
+use rextract_automata::Alphabet;
 use std::fmt;
+use std::sync::OnceLock;
 
 pub use crate::json::JsonValue;
 
-/// Errors from parsing or validating a query description.
+/// The symbol every inline alphabet is closed with, and every trained
+/// wrapper's alphabet holds: a page name outside the alphabet abstracts
+/// to it.
+pub const OTHER: &str = "#other";
+
+/// Errors from parsing, validating or compiling a query description.
 #[derive(Debug, Clone, PartialEq)]
 pub enum QueryError {
     /// The body is not well-formed JSON.
     Json(String),
     /// Well-formed JSON, but not a valid query description.
     Shape(String),
+    /// An inline-expression source does not parse over its alphabet.
+    BadExpr {
+        /// The source's variable.
+        var: String,
+        /// The parser's message.
+        error: String,
+    },
 }
 
 impl fmt::Display for QueryError {
@@ -51,6 +88,9 @@ impl fmt::Display for QueryError {
         match self {
             QueryError::Json(e) => write!(f, "invalid JSON: {e}"),
             QueryError::Shape(e) => write!(f, "invalid query: {e}"),
+            QueryError::BadExpr { var, error } => {
+                write!(f, "source {var:?}: bad expression: {error}")
+            }
         }
     }
 }
@@ -73,11 +113,76 @@ pub enum SourceKind {
 }
 
 /// One named span source.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Clone)]
 pub struct QuerySource {
     /// The variable this source binds (a plan leaf name).
     pub var: String,
     pub kind: SourceKind,
+    /// An inline source's compiled form or its parser message, filled
+    /// by the first [`QuerySource::compiled`] call.
+    compiled: OnceLock<Result<(Alphabet, Extractor), String>>,
+}
+
+impl QuerySource {
+    /// A source binding `var`, not compiled yet.
+    fn new(var: impl Into<String>, kind: SourceKind) -> QuerySource {
+        QuerySource {
+            var: var.into(),
+            kind,
+            compiled: OnceLock::new(),
+        }
+    }
+
+    /// An inline-expression source's compiled form: its closed alphabet
+    /// (see the [module docs](self)) and its extractor, or the parser's
+    /// message. The first call builds it and every later call returns
+    /// the kept result, from any thread. `None` for a wrapper source.
+    pub fn compiled(&self) -> Option<Result<(&Alphabet, &Extractor), &str>> {
+        let SourceKind::Expr { alphabet, expr } = &self.kind else {
+            return None;
+        };
+        let compiled = self.compiled.get_or_init(|| {
+            let alphabet = closed_alphabet(alphabet);
+            let expr = ExtractionExpr::parse(&alphabet, expr).map_err(|e| e.to_string())?;
+            let extractor = Extractor::compile(&expr);
+            Ok((alphabet, extractor))
+        });
+        Some(
+            compiled
+                .as_ref()
+                .map(|(a, x)| (a, x))
+                .map_err(String::as_str),
+        )
+    }
+}
+
+impl PartialEq for QuerySource {
+    fn eq(&self, other: &QuerySource) -> bool {
+        self.var == other.var && self.kind == other.kind
+    }
+}
+
+impl Eq for QuerySource {}
+
+impl fmt::Debug for QuerySource {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("QuerySource")
+            .field("var", &self.var)
+            .field("kind", &self.kind)
+            .finish()
+    }
+}
+
+/// An inline source's alphabet: `names` split on whitespace, sorted,
+/// deduplicated, and closed with [`OTHER`].
+fn closed_alphabet(names: &str) -> Alphabet {
+    let mut names: Vec<&str> = names.split_whitespace().collect();
+    names.sort_unstable();
+    names.dedup();
+    if !names.contains(&OTHER) {
+        names.push(OTHER);
+    }
+    Alphabet::new(names)
 }
 
 /// A complete query: sources plus the algebra plan over them.
@@ -127,12 +232,27 @@ impl QueryDef {
             if sources.iter().any(|s: &QuerySource| s.var == var) {
                 return Err(shape(format!("duplicate source variable {var:?}")));
             }
-            sources.push(QuerySource { var, kind });
+            sources.push(QuerySource::new(var, kind));
         }
         let plan = parse_plan(value.get("plan").ok_or_else(|| shape("missing \"plan\""))?)?;
         let def = QueryDef { sources, plan };
         def.validate()?;
         Ok(def)
+    }
+
+    /// Compile every inline-expression source now instead of at its
+    /// first evaluation, and report the first that does not parse. The
+    /// compiled forms are kept, so evaluation reuses them.
+    pub fn compile(&self) -> Result<(), QueryError> {
+        for src in &self.sources {
+            if let Some(Err(error)) = src.compiled() {
+                return Err(QueryError::BadExpr {
+                    var: src.var.clone(),
+                    error: error.to_string(),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Check internal consistency: every plan leaf names a source.
@@ -381,6 +501,52 @@ mod tests {
     }
 
     #[test]
+    fn compile_is_kept_and_outside_equality() {
+        let q = QueryDef::parse(JOIN_QUERY).unwrap();
+        // `parse` compiles nothing.
+        assert!(q.sources.iter().all(|s| s.compiled.get().is_none()));
+        let fresh = q.clone();
+        q.compile().unwrap();
+        assert!(q.source("title").unwrap().compiled().is_none());
+        let (alphabet, extractor) = q.source("price").unwrap().compiled().unwrap().unwrap();
+        // The `#other` rule: sorted names, then `#other`.
+        let names: Vec<&str> = alphabet.symbols().map(|s| alphabet.name(s)).collect();
+        assert_eq!(names, ["p", "q", OTHER]);
+        assert_eq!(extractor.marker(), alphabet.sym("p"));
+        // Equality, `Debug` and the wire format ignore the compiled form.
+        assert_eq!(q, fresh);
+        assert_eq!(format!("{q:?}"), format!("{fresh:?}"));
+        assert_eq!(q.to_json(), fresh.to_json());
+        assert!(
+            format!("{:?}", q.sources[1]).starts_with("QuerySource { var: \"price\", kind: Expr")
+        );
+    }
+
+    #[test]
+    fn compile_reports_the_first_bad_expression_and_keeps_it() {
+        let q = QueryDef::parse(
+            r#"{"sources": [{"var": "ok", "alphabet": "A", "expr": "<A> .*"},
+                            {"var": "f", "alphabet": "A", "expr": "((( <A> .*"},
+                            {"var": "g", "alphabet": "A", "expr": "<B>"}],
+                "plan": {"op": "leaf", "var": "ok"}}"#,
+        )
+        .unwrap();
+        let err = q.compile().unwrap_err();
+        assert!(
+            matches!(&err, QueryError::BadExpr { var, .. } if var == "f"),
+            "{err:?}"
+        );
+        assert!(
+            err.to_string()
+                .starts_with("source \"f\": bad expression: "),
+            "{err}"
+        );
+        assert_eq!(q.compile().unwrap_err(), err, "the error is kept");
+        let message = q.source("g").unwrap().compiled().unwrap().err().unwrap();
+        assert!(message.contains("unknown marker"), "{message}");
+    }
+
+    #[test]
     fn deep_nesting_is_a_json_error() {
         // Objects count toward the parser's nesting bound too.
         let n = crate::json::MAX_JSON_NESTING + 1;
@@ -394,13 +560,13 @@ mod tests {
     #[test]
     fn escaped_strings_round_trip_through_rendering() {
         let q = QueryDef {
-            sources: vec![QuerySource {
-                var: "v".into(),
-                kind: SourceKind::Expr {
+            sources: vec![QuerySource::new(
+                "v",
+                SourceKind::Expr {
                     alphabet: "p q".into(),
                     expr: "\"quoted\" \\ tab\there".into(),
                 },
-            }],
+            )],
             plan: Plan::leaf("v"),
         };
         assert_eq!(QueryDef::parse(&q.to_json()).unwrap(), q);

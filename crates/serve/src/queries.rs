@@ -5,7 +5,10 @@
 //! wrapper artifacts (same atomic-write discipline), and reload on boot.
 //! They reference wrappers *by name*, so a query survives wrapper
 //! reinstalls and drift repairs untouched — the binding happens at
-//! evaluation time against the live registry.
+//! evaluation time against the live registry. Inline expressions are
+//! compiled ([`QueryDef::compile`]) at install and at load, so a query
+//! whose expression does not parse is refused there and never reaches
+//! disk, and evaluation scans with the kept extractors.
 
 use crate::registry::valid_name;
 use rextract_extraction::QueryDef;
@@ -68,15 +71,16 @@ impl QueryStore {
         self.read().get(name).cloned()
     }
 
-    /// Parse, validate, persist (when a directory is configured), and
-    /// install `text` under `name`, replacing any previous definition.
+    /// Parse, validate, compile, persist (when a directory is
+    /// configured), and install `text` under `name`, replacing any
+    /// previous definition.
     pub fn install(&self, name: &str, text: &str) -> Result<Arc<QueryDef>, QueryInstallError> {
         if !valid_name(name) {
             return Err(QueryInstallError::Invalid(format!(
                 "invalid query name {name:?} (want [A-Za-z0-9._-]+, no leading dot)"
             )));
         }
-        let def = QueryDef::parse(text).map_err(|e| QueryInstallError::Invalid(e.to_string()))?;
+        let def = parse_and_compile(text).map_err(QueryInstallError::Invalid)?;
         if let Some(dir) = &self.dir {
             let path = dir.join(format!("{name}.query"));
             // Persist the canonical rendering, not the client's bytes:
@@ -91,8 +95,9 @@ impl QueryStore {
     }
 
     /// Scan the directory for `*.query` files and (re)load each one.
-    /// Returns `(loaded, errors)`; a file that fails to parse is
-    /// reported and skipped, never fatal — mirroring the wrapper scan.
+    /// Returns `(loaded, errors)`; a file that fails to parse or
+    /// compile is reported and skipped, never fatal — mirroring the
+    /// wrapper scan.
     pub fn load_dir(&self) -> std::io::Result<LoadOutcome> {
         let Some(dir) = &self.dir else {
             return Ok((Vec::new(), Vec::new()));
@@ -109,18 +114,25 @@ impl QueryStore {
                 continue;
             };
             match std::fs::read_to_string(&path) {
-                Ok(text) => match QueryDef::parse(&text) {
+                Ok(text) => match parse_and_compile(&text) {
                     Ok(def) => {
                         self.write().insert(name.clone(), Arc::new(def));
                         loaded.push(name);
                     }
-                    Err(e) => errors.push((name, e.to_string())),
+                    Err(e) => errors.push((name, e)),
                 },
                 Err(e) => errors.push((name, e.to_string())),
             }
         }
         Ok((loaded, errors))
     }
+}
+
+/// Parse `text` and compile its inline expressions.
+fn parse_and_compile(text: &str) -> Result<QueryDef, String> {
+    let def = QueryDef::parse(text).map_err(|e| e.to_string())?;
+    def.compile().map_err(|e| e.to_string())?;
+    Ok(def)
 }
 
 /// The query name a `*.query` path installs as, if valid.
@@ -170,6 +182,38 @@ mod tests {
         assert_eq!(errors.len(), 1);
         assert_eq!(errors[0].0, "broken");
         assert!(fresh.get("pair").is_some());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Well-formed JSON whose inline expression does not parse.
+    const BAD_EXPR: &str = r#"{"sources":[{"var":"f","alphabet":"A","expr":"((( <A> .*"}],"plan":{"op":"leaf","var":"f"}}"#;
+
+    #[test]
+    fn bad_inline_expressions_are_refused_at_install_and_at_load() {
+        let dir = std::env::temp_dir().join(format!("rextract-badexpr-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = QueryStore::new(Some(dir.clone()));
+        match store.install("bad", BAD_EXPR) {
+            Err(QueryInstallError::Invalid(e)) => {
+                assert!(e.starts_with("source \"f\": bad expression: "), "{e}")
+            }
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+        assert!(store.is_empty());
+        assert!(
+            !dir.join("bad.query").exists(),
+            "a refused query is not persisted"
+        );
+
+        // Written by hand beside a good file: reported and skipped at boot.
+        std::fs::write(dir.join("bad.query"), BAD_EXPR).unwrap();
+        std::fs::write(dir.join("good.query"), Q).unwrap();
+        let (loaded, errors) = store.load_dir().unwrap();
+        assert_eq!(loaded, ["good".to_string()]);
+        assert_eq!(errors.len(), 1);
+        assert_eq!(errors[0].0, "bad");
+        assert!(errors[0].1.contains("bad expression"), "{}", errors[0].1);
+        assert_eq!(store.names(), ["good".to_string()]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

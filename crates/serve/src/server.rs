@@ -1375,7 +1375,8 @@ fn handle_install(name: &str, req: &Request, ctx: &Ctx) -> Response {
 /// `POST /queries/{name}`: install or replace a span-relational query
 /// from its JSON definition (sources + algebra plan). Wrapper references
 /// are *not* resolved here — they bind at evaluation time, so a query
-/// may be installed before the wrappers it names.
+/// may be installed before the wrappers it names. Inline expressions are
+/// compiled here, so one that does not parse answers 400.
 fn handle_install_query(name: &str, req: &Request, ctx: &Ctx) -> Response {
     let text = req.body_utf8();
     if text.trim().is_empty() {

@@ -558,18 +558,22 @@ fn deeply_nested_bodies_are_rejected_and_the_daemon_survives() {
     let (status, _) = request(addr, "GET", "/healthz", "");
     assert_eq!(status, 200);
 
-    // An installed query whose inline expression nests 2,000 groups
-    // fails at evaluation with the regex parser's error.
+    // A query whose inline expression nests 2,000 groups is refused at
+    // install with the regex parser's error, and is not installed.
     let nested = format!("{}FORM{}", "(".repeat(2_000), ")".repeat(2_000));
     let def = format!(
         r#"{{"sources":[{{"var":"f","alphabet":"FORM","expr":"{nested} <FORM> .*"}}],
             "plan":{{"op":"leaf","var":"f"}}}}"#
     );
     let (status, body) = request(addr, "POST", "/queries/nested", &def);
-    assert_eq!(status, 201, "{body}");
-    let (status, body) = request(addr, "POST", "/query?query=nested", "<form></form>");
-    assert_eq!(status, 422, "{body}");
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains(r#"source \"f\": bad expression"#), "{body}");
     assert!(body.contains("nested deeper"), "{body}");
+    let (status, body) = request(addr, "GET", "/queries", "");
+    assert_eq!(status, 200);
+    assert!(!body.contains("nested"), "{body}");
+    let (status, body) = request(addr, "POST", "/query?query=nested", "<form></form>");
+    assert_eq!(status, 404, "{body}");
     let (status, _) = request(addr, "GET", "/healthz", "");
     assert_eq!(status, 200);
 

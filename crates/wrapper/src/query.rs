@@ -6,14 +6,17 @@
 //! becomes a [`SpanRelation`] in **token-index** space, and the plan
 //! evaluates to the joined result. A wrapper source contributes *all*
 //! candidate positions (no uniqueness demanded — the join is the
-//! disambiguating step); an expression source compiles on the fly over
-//! its own alphabet and the plain tags-only abstraction.
+//! disambiguating step); an expression source scans with the compiled
+//! form its parsed query keeps ([`QuerySource::compiled`]: its closed
+//! alphabet and extractor, built at the query's first evaluation or by
+//! [`QueryDef::compile`]) over the plain tags-only abstraction. Wrapper
+//! sources resolve by name on every evaluation, because drift repair
+//! swaps the installed wrapper.
+//!
+//! [`QuerySource::compiled`]: rextract_extraction::QuerySource::compiled
 
-use crate::wrapper::{Wrapper, WrapperScratch, OTHER};
-use rextract_automata::Alphabet;
-use rextract_extraction::{
-    AlgebraError, ExtractionExpr, Extractor, JoinStrategy, QueryDef, SourceKind, SpanRelation,
-};
+use crate::wrapper::{Wrapper, WrapperScratch};
+use rextract_extraction::{AlgebraError, JoinStrategy, QueryDef, SourceKind, SpanRelation};
 use rextract_html::seq::SeqConfig;
 use rextract_html::token::Token;
 use std::collections::HashMap;
@@ -24,7 +27,8 @@ use std::sync::Arc;
 pub enum QueryEvalError {
     /// A wrapper source names a wrapper that is not installed.
     UnknownWrapper(String),
-    /// An expression source failed to parse over its alphabet.
+    /// An expression source failed to parse over its alphabet (a query
+    /// that went through [`QueryDef::compile`] never reports this).
     BadExpr {
         /// The source's variable.
         var: String,
@@ -69,10 +73,11 @@ pub fn evaluate_query(
 }
 
 /// [`evaluate_query`] with a caller-owned scratch: page abstraction, the
-/// tag memo, and every extractor scan reuse `scratch`'s buffers, so
-/// steady-state evaluation of wrapper sources stays off the allocator
-/// (inline-expression sources still compile per call by design — they
-/// are ad-hoc by nature; the relation building also allocates).
+/// tag memo, and every extractor scan reuse `scratch`'s buffers. Each
+/// inline-expression source is compiled once per parsed `def`, at its
+/// first evaluation unless [`QueryDef::compile`] ran first, and every
+/// later page scans with the kept extractor. Building the relations and
+/// the plan's result still allocates.
 pub fn evaluate_query_with(
     def: &QueryDef,
     tokens: &[Token],
@@ -87,8 +92,16 @@ pub fn evaluate_query_with(
                 let w = lookup(name).ok_or_else(|| QueryEvalError::UnknownWrapper(name.clone()))?;
                 w.span_relation_with(src.var.clone(), tokens, scratch)
             }
-            SourceKind::Expr { alphabet, expr } => {
-                expr_relation(&src.var, alphabet, expr, tokens, scratch)?
+            SourceKind::Expr { .. } => {
+                let (alphabet, extractor) = src
+                    .compiled()
+                    .expect("an inline source has a compiled form")
+                    .map_err(|error| QueryEvalError::BadExpr {
+                        var: src.var.clone(),
+                        error: error.to_string(),
+                    })?;
+                let cfg = SeqConfig::tags_only();
+                scratch.candidates(src.var.as_str(), alphabet, &cfg, extractor, tokens)
             }
         };
         inputs.insert(src.var.clone(), rel);
@@ -96,32 +109,6 @@ pub fn evaluate_query_with(
     def.plan
         .eval_with(&inputs, strategy)
         .map_err(QueryEvalError::Algebra)
-}
-
-/// Ground one inline-expression source: build its alphabet (always
-/// closed with `#other`), parse and compile the expression, abstract the
-/// page tags-only, scan, and map every match back to token indices.
-fn expr_relation(
-    var: &str,
-    alphabet_names: &str,
-    expr_text: &str,
-    tokens: &[Token],
-    scratch: &mut WrapperScratch,
-) -> Result<SpanRelation, QueryEvalError> {
-    let mut names: Vec<&str> = alphabet_names.split_whitespace().collect();
-    names.sort_unstable();
-    names.dedup();
-    if !names.contains(&OTHER) {
-        names.push(OTHER);
-    }
-    let alphabet = Alphabet::new(names);
-    let expr =
-        ExtractionExpr::parse(&alphabet, expr_text).map_err(|e| QueryEvalError::BadExpr {
-            var: var.to_string(),
-            error: e.to_string(),
-        })?;
-    let extractor = Extractor::compile(&expr);
-    Ok(scratch.candidates(var, &alphabet, &SeqConfig::tags_only(), &extractor, tokens))
 }
 
 #[cfg(test)]
@@ -223,6 +210,66 @@ mod tests {
             assert_eq!(reused.vars(), fresh.vars());
             assert_eq!(reused.rows(), fresh.rows());
         }
+    }
+
+    #[test]
+    fn first_use_from_four_threads_matches_serial_evaluation() {
+        const QUERY: &str = r#"{
+          "sources": [
+            {"var": "field", "wrapper": "search"},
+            {"var": "form", "alphabet": "FORM /FORM", "expr": "[^FORM]* <FORM> .*"},
+            {"var": "input", "alphabet": "INPUT FORM", "expr": ".* <INPUT> .*"}
+          ],
+          "plan": {
+            "op": "join",
+            "left": {"op": "leaf", "var": "form"},
+            "right": {
+              "op": "join",
+              "left": {"op": "leaf", "var": "field"},
+              "right": {"op": "leaf", "var": "input"}
+            },
+            "preds": [{"pred": "before", "left": "form", "right": "input"}]
+          }
+        }"#;
+        let mut g = gen(5);
+        let w = trained_search(&mut g);
+        let lookup = move |name: &str| (name == "search").then(|| Arc::clone(&w));
+        let pages: Vec<Vec<Token>> = [PageStyle::Plain, PageStyle::TableEmbedded]
+            .iter()
+            .cycle()
+            .take(6)
+            .map(|&s| g.page_with_style(s).tokens)
+            .collect();
+        let serial_def = QueryDef::parse(QUERY).unwrap();
+        let serial: Vec<SpanRelation> = pages
+            .iter()
+            .map(|p| evaluate_query(&serial_def, p, &lookup, JoinStrategy::SortMerge).unwrap())
+            .collect();
+        assert!(serial.iter().any(|r| !r.is_empty()), "the query must match");
+
+        // Never compiled before the threads race to its first use.
+        let shared = Arc::new(QueryDef::parse(QUERY).unwrap());
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    let mut scratch = WrapperScratch::new();
+                    for (p, want) in pages.iter().zip(&serial) {
+                        let got = evaluate_query_with(
+                            &shared,
+                            p,
+                            &lookup,
+                            JoinStrategy::SortMerge,
+                            &mut scratch,
+                        )
+                        .unwrap();
+                        assert_eq!(got.vars(), want.vars());
+                        assert_eq!(got.rows(), want.rows());
+                    }
+                });
+            }
+        });
     }
 
     #[test]

@@ -73,16 +73,23 @@ impl TupleWrapper {
         let alphabet = vocab.alphabet();
 
         let merged = merge_multi(&alphabet, &samples).map_err(WrapperError::Learn)?;
-        let (expr, maximized) = if cfg.maximize {
-            match merged.maximize() {
-                Ok(m) if m.is_unambiguous() => (m, true),
-                _ => (merged, false),
-            }
+        // The maximized expression is kept only if it is unambiguous;
+        // one build of its collapsed chains decides that and compiles it.
+        let maximized = if cfg.maximize {
+            merged
+                .maximize()
+                .ok()
+                .and_then(|m| m.compile_unambiguous().map(|x| (m, x)))
         } else {
-            (merged, false)
+            None
         };
-
-        let extractor = expr.compile();
+        let (expr, extractor, maximized) = match maximized {
+            Some((m, extractor)) => (m, extractor, true),
+            None => {
+                let extractor = merged.compile();
+                (merged, extractor, false)
+            }
+        };
         Ok(TupleWrapper {
             alphabet,
             expr,

@@ -23,7 +23,7 @@ use rextract_learn::{LearnError, MarkedSeq};
 use std::fmt;
 
 /// Reserved symbol name for tags unseen during training.
-pub const OTHER: &str = "#other";
+pub use rextract_extraction::OTHER;
 
 /// A training page: tokens plus the token index of the target.
 #[derive(Debug, Clone)]

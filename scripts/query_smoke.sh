@@ -3,8 +3,10 @@
 # two-source join query (wrapper ⋈ inline expression with a `before`
 # predicate), evaluate it over HTTP under both join strategies and assert
 # the records are byte-identical, then run the same query offline through
-# `rextract query` and check the byte-offset provenance lines. Uses
-# bash's /dev/tcp so it needs no curl.
+# `rextract query` and check the byte-offset provenance lines. A query
+# whose inline expression does not parse must be refused at install (and
+# not persisted) and at `rextract query` load. Uses bash's /dev/tcp so it
+# needs no curl.
 # Usage: scripts/query_smoke.sh [path-to-rextract-binary]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -105,6 +107,24 @@ grep -q '<form' "$WORK/cli.out"
 "$BIN" query --wrappers "$WORK" --strategy nested-loop "$WORK/pair.json" "$WORK/page.html" >"$WORK/cli2.out" 2>/dev/null
 cmp "$WORK/cli.out" "$WORK/cli2.out" || { echo "CLI strategies disagree"; exit 1; }
 echo "offline query output byte-identical across strategies"
+
+echo "== query smoke: a bad inline expression is refused =="
+cat >"$WORK/bad.json" <<'JSON'
+{"sources": [{"var": "cell", "alphabet": "TD", "expr": "((( <TD> .*"}],
+ "plan": {"op": "leaf", "var": "cell"}}
+JSON
+http POST /queries/bad "$WORK/bad.json" | tee "$WORK/qbad.txt"
+grep -q '400 Bad Request' "$WORK/qbad.txt"
+grep -q 'source \\"cell\\": bad expression' "$WORK/qbad.txt"
+# The accepted query sits in the same directory the refused one must not.
+[ -e "$WORK/pair.query" ] || { echo "pair.query was not persisted"; exit 1; }
+[ ! -e "$WORK/bad.query" ] || { echo "a refused query was persisted"; exit 1; }
+if "$BIN" query "$WORK/bad.json" "$WORK/page.html" >"$WORK/bad.out" 2>"$WORK/bad.err"; then
+    echo "rextract query accepted a bad inline expression"; exit 1
+fi
+[ ! -s "$WORK/bad.out" ] || { echo "rextract query wrote output for a bad query"; exit 1; }
+grep -q 'source "cell": bad expression' "$WORK/bad.err"
+echo "bad inline expression refused at install and at load"
 
 echo "== query smoke: graceful shutdown =="
 http POST /shutdown | grep -q '"draining":true'

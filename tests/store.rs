@@ -4,7 +4,7 @@
 //! statistics counters must behave sanely under real workloads.
 
 use proptest::prelude::*;
-use rextract::automata::{Alphabet, Lang, Regex, Store, Symbol};
+use rextract::automata::{Alphabet, Dfa, Lang, Regex, Store, Symbol};
 use rextract::extraction::left_filter::left_filter_maximize;
 use rextract::extraction::ExtractionExpr;
 
@@ -69,8 +69,30 @@ fn check_ops_agree(a: &Alphabet, x: &Regex, y: &Regex) {
     assert_eq!(cached.is_subset(&lx, &ly), uncached.is_subset(&lx, &ly));
 }
 
+/// `Lang::from_regex` hands the interner the subset construction
+/// unminimized; it must land on the id of the minimal DFA that
+/// `Dfa::from_regex` builds.
+fn check_from_regex_id(n: usize, x: &Regex) {
+    let a = alphabet_of(n);
+    assert_eq!(
+        Lang::from_regex(&a, x).id(),
+        Lang::from_dfa(Dfa::from_regex(&a, x)).id(),
+        "{x:?}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn from_regex_interns_like_the_minimal_dfa_sigma2(x in arb_regex(2)) {
+        check_from_regex_id(2, &x);
+    }
+
+    #[test]
+    fn from_regex_interns_like_the_minimal_dfa_sigma8(x in arb_regex(8)) {
+        check_from_regex_id(8, &x);
+    }
 
     /// Cached vs uncached agreement over a 2-symbol alphabet.
     #[test]
